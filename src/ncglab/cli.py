@@ -84,9 +84,7 @@ def cmd_check(args):
 
 def cmd_opt(args):
     inst, _ = _load_instance(args)
-    if args.exact:
-        result = brute_force_opt(inst, node_limit=args.node_limit)
-    elif inst.n <= args.node_limit:
+    if args.exact or inst.n <= args.node_limit:
         result = brute_force_opt(inst, node_limit=args.node_limit)
     else:
         result = heuristic_opt(inst, seed=args.seed)

@@ -10,9 +10,12 @@ exact. Infinite distances stay ``math.inf`` and absorb sums/comparisons.
 Inexact mode (opt-in) keeps floats and applies a comparison tolerance in
 ``improves``; results computed this way are non-authoritative.
 
-Distance rows are memoized per canonical edge tuple, lazily per source,
-because coalition enumeration revisits the same candidate networks many
-times through different coalitions.
+Memoized, and nothing else: per network state (keyed by canonical edge
+tuple), each source's distance row and its sum, both computed the first
+time they are read, because coalition enumeration revisits the same
+candidate networks many times through different coalitions; per engine,
+the full host's distance rows and their sums, which every dead-agent and
+spend-cap bound reads. Each cost method looks its state up once per call.
 """
 
 from fractions import Fraction
@@ -59,6 +62,7 @@ class CostEngine:
             self.eps_scaled = float(eps)
         self._states = {}
         self._host_rows = None
+        self._host_sums = None
 
     # -- network state ----------------------------------------------------
 
@@ -93,21 +97,23 @@ class CostEngine:
                     push(heap, (nd, v))
         return dist
 
-    def row(self, key: tuple, u: int):
-        st = self.state(key)
+    def _row(self, st: _NetState, u: int):
         r = st.rows[u]
         if r is None:
-            r = self._dijkstra(st.adj, u)
-            st.rows[u] = r
+            r = st.rows[u] = self._dijkstra(st.adj, u)
         return r
 
-    def dist_sum(self, key: tuple, u: int):
-        st = self.state(key)
+    def _sum(self, st: _NetState, u: int):
         s = st.sums[u]
         if s is None:
-            s = sum(self.row(key, u))
-            st.sums[u] = s
+            s = st.sums[u] = sum(self._row(st, u))
         return s
+
+    def row(self, key: tuple, u: int):
+        return self._row(self.state(key), u)
+
+    def dist_sum(self, key: tuple, u: int):
+        return self._sum(self.state(key), u)
 
     # -- host lower bounds --------------------------------------------------
 
@@ -122,7 +128,9 @@ class CostEngine:
         return self._host_rows
 
     def host_dist_sum(self, u: int):
-        return sum(self.host_rows()[u])
+        if self._host_sums is None:
+            self._host_sums = [sum(r) for r in self.host_rows()]
+        return self._host_sums[u]
 
     # -- costs (scaled) -----------------------------------------------------
 
@@ -131,12 +139,14 @@ class CostEngine:
         return sum(w for _, w in st.adj[u])
 
     def member_cost(self, key: tuple, u: int):
-        return self.p * self.incident_weight(key, u) + self.q * self.dist_sum(key, u)
+        st = self.state(key)
+        return self.p * sum(w for _, w in st.adj[u]) + self.q * self._sum(st, u)
 
     def social_cost(self, key: tuple):
         W = self.W
+        st = self.state(key)
         edge_part = sum(W[u][v] for u, v in key)
-        dist_part = sum(self.dist_sum(key, u) for u in range(self.n))
+        dist_part = sum(self._sum(st, u) for u in range(self.n))
         return 2 * self.p * edge_part + self.q * dist_part
 
     def to_cost(self, scaled):
@@ -166,8 +176,9 @@ class CostEngine:
         uses it at most once and only as the first step, so relaxing
         against v's old row is exact. Does not materialize the new state.
         """
-        ru = self.row(key, u)
-        rv = self.row(key, v)
+        st = self.state(key)
+        ru = self._row(st, u)
+        rv = self._row(st, v)
         w = self.W[u][v]
         return [min(a, w + b) for a, b in zip(ru, rv)]
 
@@ -175,7 +186,8 @@ class CostEngine:
         """Social cost of the network plus edge {u,v}, via all-pairs relax."""
         n = self.n
         w = self.W[u][v]
-        rows = [self.row(key, x) for x in range(n)]
+        st = self.state(key)
+        rows = [self._row(st, x) for x in range(n)]
         ru, rv = rows[u], rows[v]
         dist_part = 0
         for x in range(n):

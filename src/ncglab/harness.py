@@ -43,16 +43,15 @@ class EnumerationResult:
         return self.worst is not None
 
 
-def _connected_candidates(inst, engine):
-    """(social cost, canonical edges) of every connected subgraph."""
+def _connected_candidates(inst):
+    """Canonical edges of every connected subgraph."""
     n = inst.n
     pairs = _all_pairs(n)
     out = []
     for mask in range(1, 1 << len(pairs)):
         if not _connected_mask(n, pairs, mask):
             continue
-        key = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        out.append((engine.social_cost(key), key))
+        out.append(tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
     return out
 
 
@@ -82,23 +81,27 @@ def enumerate_stable(
 
     In worst-only mode candidates are visited in descending cost order and
     the scan stops at the first stable network, which is then the worst.
+    Otherwise they are visited in edge-tuple order, and social costs are
+    computed only for the networks found stable: most candidates fail
+    their first ps move long before all n distance rows are needed.
     """
     limit = (limits or ENUM_LIMITS)[concept]
     if inst.n > limit:
         raise InstanceTooLarge(inst.n, limit, f"{concept} enumeration")
     engine = engine or CostEngine(inst)
     chain = _concept_chain(concept) if use_containment else (concept,)
-    candidates = _connected_candidates(inst, engine)
+    candidates = _connected_candidates(inst)
     if worst_only:
-        candidates.sort(key=lambda t: (-t[0], t[1]))
+        costs = {key: engine.social_cost(key) for key in candidates}
+        candidates.sort(key=lambda key: (-costs[key], key))
     else:
-        candidates.sort(key=lambda t: t[1])
+        candidates.sort()
     stable = []
     inconclusive = 0
     checked = 0
     worst = None
     worst_cost = None
-    for cost, key in candidates:
+    for key in candidates:
         net = Network(n=inst.n, edges=key)
         checked += 1
         verdict = None
@@ -111,6 +114,7 @@ def enumerate_stable(
             continue
         if not verdict.stable:
             continue
+        cost = engine.social_cost(key)
         if worst_only:
             return EnumerationResult(
                 concept=concept,
@@ -121,12 +125,12 @@ def enumerate_stable(
                 checked=checked,
                 inconclusive=inconclusive,
             )
-        stable.append((cost, net))
+        stable.append(net)
         if worst_cost is None or cost > worst_cost:
             worst, worst_cost = net, cost
     return EnumerationResult(
         concept=concept,
-        networks=None if worst_only else tuple(net for _, net in stable),
+        networks=None if worst_only else tuple(stable),
         worst=worst,
         worst_cost=None if worst_cost is None else engine.to_cost(worst_cost),
         complete=inconclusive == 0,

@@ -27,9 +27,18 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
 
 Pruned moves never count against the move budget and cannot change which
 witness is found first, because only non-improving moves are pruned.
+
 Witnesses are deterministic: the first improving move in the documented
 canonical enumeration order (for ps this is the lexicographically smallest
 violating move).
+
+Per-agent setup for these prunes (current cost, distance sum, liveness,
+spend cap) is lazy: ps prepares agent u before its removals and a partner
+v only when the pair check reaches it, while bne and bse prepare every
+agent up front. An agent's setup depends only on the network, so it is
+the same whenever it runs, and it evaluates no move. Verdicts, witnesses
+and ``moves_evaluated`` are therefore those of eager setup, while the
+many networks refuted by an early ps move skip most distance rows.
 """
 
 from dataclasses import dataclass
@@ -124,8 +133,9 @@ def apply_move(net: Network, move: Move) -> Network:
         if e[0] not in members and e[1] not in members:
             raise RemovalOutsideCoalition(f"removal {e} has no endpoint in coalition")
         edges.discard(e)
+    original = net.edge_set()
     for e in move.additions:
-        if e in set(net.edges):
+        if e in original:
             raise AdditionAlreadyPresent(f"addition {e} already in network")
         if e[0] not in members or e[1] not in members:
             raise AdditionOutsideCoalition(f"addition {e} not inside coalition")
@@ -169,7 +179,14 @@ class _BudgetStop(Exception):
 
 
 class _Search:
-    """Shared state for one checker invocation over one network."""
+    """Shared state for one checker invocation over one network.
+
+    ``base``, ``base_dist``, ``alive`` and ``spend_cap`` hold None for an
+    agent until ``_prepare`` fills them, which each move generator does
+    before its first read. Preparing depends only on the network and
+    counts no move, so witnesses and ``moves_evaluated`` match eager
+    setup (see the module docstring).
+    """
 
     def __init__(self, inst, net, budget=None, engine=None):
         if net.n != inst.n:
@@ -178,34 +195,44 @@ class _Search:
         self.net = net
         self.engine = engine or CostEngine(inst)
         self.budget = budget or Budget()
-        eng = self.engine
         self.gkey = net.edges
         n = inst.n
-        self.base = [eng.member_cost(self.gkey, u) for u in range(n)]
-        self.base_dist = [eng.dist_sum(self.gkey, u) for u in range(n)]
-        self.rem_inc = [eng.incident_weight(self.gkey, u) for u in range(n)]
+        adj = self.engine.state(self.gkey).adj
+        self.rem_inc = [sum(w for _, w in adj[u]) for u in range(n)]
+        self.base = [None] * n
+        self.base_dist = [None] * n
+        self.alive = [None] * n
+        self.spend_cap = [None] * n
+        self.evaluated = 0
+        self.budget_skipped = False
+        self.frontier = None
+
+    def _prepare(self, u):
+        """Fill agent u's base cost, distance sum, liveness and spend cap."""
+        if self.base[u] is not None:
+            return
+        eng = self.engine
+        d_g = eng.dist_sum(self.gkey, u)
+        self.base[u] = eng.p * self.rem_inc[u] + eng.q * d_g
+        self.base_dist[u] = d_g
         # dead agents can never strictly improve anywhere (see module doc)
-        self.alive = [
-            eng.improves(eng.q * eng.host_dist_sum(u), self.base[u]) for u in range(n)
-        ]
+        self.alive[u] = eng.improves(eng.q * eng.host_dist_sum(u), self.base[u])
         # spend_cap[u]: strict upper bound on what u can pay for additions in
         # any improving move (edge savings plus distance slack down to the
         # full-host floor); an added edge neither endpoint can afford can be
         # filtered out before subset enumeration
-        self.spend_cap = []
-        for u in range(n):
-            d_g = self.base_dist[u]
-            if is_inf(d_g):
-                self.spend_cap.append(INF)
-            else:
-                self.spend_cap.append(
-                    eng.p * self.rem_inc[u]
-                    + eng.q * (d_g - eng.host_dist_sum(u))
-                    - eng.eps_scaled
-                )
-        self.evaluated = 0
-        self.budget_skipped = False
-        self.frontier = None
+        if is_inf(d_g):
+            self.spend_cap[u] = INF
+        else:
+            self.spend_cap[u] = (
+                eng.p * self.rem_inc[u]
+                + eng.q * (d_g - eng.host_dist_sum(u))
+                - eng.eps_scaled
+            )
+
+    def _prepare_all(self):
+        for u in range(self.inst.n):
+            self._prepare(u)
 
     def _affordable(self, u, v):
         price = self.engine.p * self.engine.W[u][v]
@@ -254,17 +281,20 @@ class _Search:
         eset = self.net.edge_set()
         n = self.inst.n
         for u in range(n):
-            if self.alive[u]:
-                incident = sorted(e for e in self.net.edges if u in e)
-                for e in incident:
-                    self._count_eval()
-                    new_key = canonical_edges(eset - {e})
-                    if eng.improves(eng.member_cost(new_key, u), self.base[u]):
-                        yield Move.make((u,), removals=(e,), concept=PS)
+            self._prepare(u)
+            if not self.alive[u]:
+                continue  # neither u's removals nor its pairs can improve
+            incident = sorted(e for e in self.net.edges if u in e)
+            for e in incident:
+                self._count_eval()
+                new_key = canonical_edges(eset - {e})
+                if eng.improves(eng.member_cost(new_key, u), self.base[u]):
+                    yield Move.make((u,), removals=(e,), concept=PS)
             for v in range(u + 1, n):
                 if (u, v) in eset:
                     continue
-                if not (self.alive[u] and self.alive[v] and self._affordable(u, v)):
+                self._prepare(v)
+                if not (self.alive[v] and self._affordable(u, v)):
                     continue
                 self._count_eval()
                 w = eng.W[u][v]
@@ -286,6 +316,7 @@ class _Search:
         eset = self.net.edge_set()
         n = self.inst.n
         cap_changes = self.budget.max_changes
+        self._prepare_all()
         for u in range(n):
             if not self.alive[u]:
                 continue
@@ -358,6 +389,7 @@ class _Search:
         eng = self.engine
         eset = self.net.edge_set()
         n = self.inst.n
+        self._prepare_all()
         candidates = [u for u in range(n) if self.alive[u]]
         cap_size = self.budget.max_coalition
         cap_changes = self.budget.max_changes

@@ -41,11 +41,22 @@ class TestEnumerateStable:
         assert fx.stable_net.edges in {net.edges for net in result.networks}
 
     def test_worst_only_agrees_with_full_enumeration(self):
-        for seed in range(5):
-            inst = L.random_instance(4, "uniform", seed, F(2))
-            full = L.enumerate_stable(inst, "bse")
-            fast = L.enumerate_stable(inst, "bse", worst_only=True)
+        # full mode computes social costs only for stable networks,
+        # worst-only mode for every candidate: both must agree, and with
+        # the Fraction oracle in model
+        cases = [(4, "uniform", seed, "bse") for seed in range(5)] + [
+            (5, model, seed, concept)
+            for concept in L.CONCEPTS
+            for model in ("tree", "uniform")
+            for seed in (0, 1)
+        ]
+        for n, model, seed, concept in cases:
+            inst = L.random_instance(n, model, seed, F(2))
+            full = L.enumerate_stable(inst, concept)
+            fast = L.enumerate_stable(inst, concept, worst_only=True)
             assert full.worst_cost == fast.worst_cost
+            assert full.worst is not None
+            assert full.worst_cost == L.cost_report(inst, full.worst).social_total
 
     def test_containment_filter_matches_direct_checks(self):
         for seed in range(4):

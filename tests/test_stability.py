@@ -11,6 +11,8 @@ from ncglab.errors import (
     AdditionOutsideCoalition,
     RemovalNotPresent,
 )
+from ncglab.scalars import INF
+from ncglab.stability import _Search
 
 
 def host(rows):
@@ -186,6 +188,120 @@ def _naive_bse(inst, net):
                     if all(eng.improves(eng.member_cost(key, m), base[m]) for m in gamma):
                         return gamma, rems, adds
     return None
+
+
+def _naive_ps(inst, net):
+    """Unpruned pairwise search: the first improving move in canonical order.
+
+    For each agent u in turn: its removals by increasing edge, then its
+    additions to partners v > u by increasing v.
+    """
+    eng = CostEngine(inst)
+    gkey = net.edges
+    eset = set(gkey)
+    base = [eng.member_cost(gkey, u) for u in range(inst.n)]
+    for u in range(inst.n):
+        for e in sorted(e for e in gkey if u in e):
+            if eng.improves(eng.member_cost(canonical_edges(eset - {e}), u), base[u]):
+                return L.Move.make((u,), removals=(e,), concept="ps")
+        for v in range(u + 1, inst.n):
+            if (u, v) in eset:
+                continue
+            key = canonical_edges(eset | {(u, v)})
+            if all(eng.improves(eng.member_cost(key, m), base[m]) for m in (u, v)):
+                return L.Move.make((u, v), additions=((u, v),), concept="ps")
+    return None
+
+
+def _naive_bne(inst, net):
+    """Unpruned neighborhood search: the first improving move in canonical order.
+
+    For each mover u in turn: addition sets to partners by increasing
+    mask over u's sorted non-edges, then removal sets by increasing mask
+    over u's sorted incident edges.
+    """
+    eng = CostEngine(inst)
+    gkey = net.edges
+    eset = set(gkey)
+    base = [eng.member_cost(gkey, u) for u in range(inst.n)]
+    for u in range(inst.n):
+        removable = sorted(e for e in gkey if u in e)
+        addable = sorted(
+            (min(u, v), max(u, v))
+            for v in range(inst.n)
+            if v != u and (min(u, v), max(u, v)) not in eset
+        )
+        for am in range(1 << len(addable)):
+            adds = [addable[i] for i in range(len(addable)) if am >> i & 1]
+            partners = [a if b == u else b for a, b in adds]
+            for rm in range(1 << len(removable)):
+                if am == 0 and rm == 0:
+                    continue
+                rems = [removable[i] for i in range(len(removable)) if rm >> i & 1]
+                key = canonical_edges((eset | set(adds)) - set(rems))
+                if all(
+                    eng.improves(eng.member_cost(key, m), base[m]) for m in (u, *partners)
+                ):
+                    return L.Move.make(
+                        (u, *partners), removals=rems, additions=adds, concept="bne"
+                    )
+    return None
+
+
+def _seeded_networks(seed, count, max_n):
+    """Seeded (instance, network) pairs; every other host has zero-weight
+    links, as in the zero_cluster fixture, so that some agents are dead."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(3, max_n)
+        alpha = F(rng.randint(1, 8), rng.choice([1, 2]))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if i % 2:
+            w = [[0] * n for _ in range(n)]
+            for u, v in pairs:
+                w[u][v] = w[v][u] = rng.choice([0, 0, 1, 2, 3])
+            inst = L.Instance(host=host(w), alpha=alpha)
+        else:
+            inst = L.random_instance(n, rng.choice(L.MODELS), rng.randrange(10**6), alpha)
+        density = rng.random()
+        yield inst, L.Network.from_pairs(n, [e for e in pairs if rng.random() < density])
+
+
+class TestPruneCrossCheck:
+    """The dead-agent, affordability and gain-bound prunes discard only
+    non-improving moves: unpruned searches find the same first witness."""
+
+    @pytest.mark.parametrize("concept, naive", [("ps", _naive_ps), ("bne", _naive_bne)])
+    def test_matches_unpruned_reference(self, concept, naive):
+        unstable = 0
+        for inst, net in _seeded_networks(31, 120, 5):
+            verdict = L.check(inst, net, concept)
+            expected = naive(inst, net)
+            assert verdict.status == ("stable" if expected is None else "unstable")
+            assert verdict.witness == expected
+            unstable += expected is not None
+        assert 0 < unstable < 120
+
+    def test_every_agent_alive_and_unbounded_gives_same_verdicts(self, monkeypatch):
+        cases = [
+            (inst, net, concept)
+            for inst, net in _seeded_networks(47, 100, 5)
+            for concept in L.CONCEPTS
+            if concept != "bse" or inst.n <= 4
+        ]
+        pruned = [L.check(inst, net, c) for inst, net, c in cases]
+        prepare = _Search._prepare
+
+        def prepare_unpruned(self, u):
+            prepare(self, u)
+            self.alive[u] = True
+            self.spend_cap[u] = INF
+
+        monkeypatch.setattr(_Search, "_prepare", prepare_unpruned)
+        for (inst, net, c), verdict in zip(cases, pruned):
+            unpruned = L.check(inst, net, c)
+            assert (unpruned.status, unpruned.witness) == (verdict.status, verdict.witness)
+        assert any(v.unstable for v in pruned) and any(v.stable for v in pruned)
 
 
 class TestBudgets:

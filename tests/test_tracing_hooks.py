@@ -1,0 +1,39 @@
+"""The benchmark's tracer still finds the library hooks it wraps.
+
+``bench/tracing.py`` replaces engine methods, ``_run_checker``,
+``_Search.__init__`` and ``move_deltas`` from outside the package and
+reads ``CostEngine._states``. A refactor that renames or re-signs any of
+them would silently zero the traced per-layer metrics; this test fails
+instead.
+"""
+
+import importlib.util
+from fractions import Fraction as F
+from pathlib import Path
+
+import ncglab as L
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_an_enumeration_and_uninstalls():
+    tracer = _load_tracing().Tracer()
+    original = L.enumerate_stable
+    inst = L.random_instance(4, "tree", 0, F(2))
+    with tracer.installed(), tracer.root("enumerate_stable"):
+        result = L.enumerate_stable(inst, "bse")
+    assert L.enumerate_stable is original
+    metrics = tracer.metrics()
+    assert metrics["engine.dijkstra.calls"] > 0
+    assert metrics["stability.check.calls"] > 0
+    assert metrics["engine.cache.states_max"] > 0
+    assert metrics["stability.search_setup.calls"] > 0
+    assert metrics["stability.move_deltas.calls"] > 0
+    assert metrics["harness.candidates"] == result.checked
