@@ -11,7 +11,6 @@ import sys
 from . import dynamics as dyn
 from . import fixtures as fx
 from . import harness, properties, serialize
-from .engine import CostEngine
 from .errors import BoundViolation, LabInputError
 from .optimum import brute_force_opt, heuristic_opt
 from .scalars import format_rational, parse_rational
@@ -41,13 +40,12 @@ def _write_out(text, path=None):
 
 
 def _budget_from_args(args):
-    if args.max_coalition or args.max_changes or args.max_moves:
-        return Budget(
-            max_coalition=args.max_coalition,
-            max_changes=args.max_changes,
-            max_moves=args.max_moves,
-        )
-    return None
+    budget = Budget(
+        max_coalition=args.max_coalition,
+        max_changes=args.max_changes,
+        max_moves=args.max_moves,
+    )
+    return None if budget == Budget() else budget
 
 
 def _add_budget_args(sub):
@@ -57,34 +55,30 @@ def _add_budget_args(sub):
 
 
 def _load_instance(args):
-    inst = serialize.instance_from_json(_read(args.instance, "instance"))
-    if getattr(args, "inexact", False):
-        return inst, CostEngine(inst, eps=args.eps)
-    return inst, None
+    return serialize.instance_from_json(_read(args.instance, "instance"))
 
 
 def cmd_check(args):
-    inst, engine = _load_instance(args)
+    inst = _load_instance(args)
     net = serialize.network_from_json(_read(args.network, "network"), inst.n)
-    verdict = check(inst, net, args.concept, budget=_budget_from_args(args), engine=engine)
-    mode = f" (inexact, eps={args.eps})" if args.inexact else ""
+    verdict = check(inst, net, args.concept, budget=_budget_from_args(args))
     if verdict.stable:
-        print(f"stable: no improving {args.concept} move exists{mode}")
+        print(f"stable: no improving {args.concept} move exists")
         return EXIT_OK
     if verdict.inconclusive:
-        print(f"inconclusive: {verdict.frontier}{mode}")
+        print(f"inconclusive: {verdict.frontier}")
         return EXIT_INCONCLUSIVE
     text = serialize.witness_to_json(verdict)
     if args.witness_out:
         _write_out(text, args.witness_out)
-    print(f"unstable{mode}: witness follows")
+    print("unstable: witness follows")
     sys.stdout.write(text)
     return EXIT_UNSTABLE
 
 
 def cmd_opt(args):
-    inst, _ = _load_instance(args)
-    if args.exact or inst.n <= args.node_limit:
+    inst = _load_instance(args)
+    if args.proven or inst.n <= args.node_limit:
         result = brute_force_opt(inst, node_limit=args.node_limit)
     else:
         result = heuristic_opt(inst, seed=args.seed)
@@ -113,7 +107,7 @@ def cmd_verify_fixture(args):
 
 
 def cmd_dynamics(args):
-    inst, _ = _load_instance(args)
+    inst = _load_instance(args)
     if args.start:
         start = serialize.network_from_json(_read(args.start, "network"), inst.n)
     else:
@@ -134,7 +128,7 @@ def cmd_dynamics(args):
 
 
 def cmd_poa(args):
-    inst, _ = _load_instance(args)
+    inst = _load_instance(args)
     point = harness.poa_point(
         inst, args.concept, budget=_budget_from_args(args), label=args.instance
     )
@@ -183,18 +177,18 @@ def build_parser():
     p.add_argument("network")
     p.add_argument("--concept", choices=CONCEPTS, required=True)
     p.add_argument("--witness-out", default=None)
-    p.add_argument("--inexact", action="store_true", help="float mode, non-authoritative")
-    p.add_argument("--eps", type=float, default=1e-9)
     _add_budget_args(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("opt", help="social optimum (exact when small enough)")
     p.add_argument("instance")
-    p.add_argument("--exact", action="store_true", help="require proven optimum")
+    p.add_argument(
+        "--exact", action="store_true", dest="proven", help="require proven optimum"
+    )
     p.add_argument("--node-limit", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_opt, inexact=False)
+    p.set_defaults(func=cmd_opt)
 
     p = sub.add_parser("gen", help="generate a lower-bound fixture bundle")
     p.add_argument("family", choices=fx.FAMILIES)
@@ -220,13 +214,13 @@ def build_parser():
     p.add_argument("--max-steps", type=int, default=100)
     p.add_argument("--out", default=None)
     _add_budget_args(p)
-    p.set_defaults(func=cmd_dynamics, inexact=False)
+    p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("poa", help="price-of-anarchy point for one instance")
     p.add_argument("instance")
     p.add_argument("--concept", choices=CONCEPTS, required=True)
     _add_budget_args(p)
-    p.set_defaults(func=cmd_poa, inexact=False)
+    p.set_defaults(func=cmd_poa)
 
     p = sub.add_parser("sweep", help="run a sweep config and check bounds")
     p.add_argument("config")

@@ -118,7 +118,7 @@ def run_dynamics(
     seen = {start.edges: 0}
     net = start
     steps = []
-    for _ in range(max_steps):
+    while True:
         try:
             move = _next(net)
         except InconclusiveSearch as stop:
@@ -133,6 +133,14 @@ def run_dynamics(
             return Trace(
                 initial=start, final=net, steps=tuple(steps), outcome=EQUILIBRIUM
             )
+        if len(steps) == max_steps:
+            return Trace(
+                initial=start,
+                final=net,
+                steps=tuple(steps),
+                outcome=BUDGET_EXHAUSTED,
+                note=f"{max_steps} steps exhausted with moves remaining",
+            )
         net = apply_move(net, move)
         steps.append((move, engine.to_cost(engine.social_cost(net.edges))))
         index = len(steps)
@@ -146,22 +154,3 @@ def run_dynamics(
                 cycle_period=index - seen[net.edges],
             )
         seen[net.edges] = index
-    try:
-        move = _next(net)
-    except InconclusiveSearch as stop:
-        return Trace(
-            initial=start,
-            final=net,
-            steps=tuple(steps),
-            outcome=BUDGET_EXHAUSTED,
-            note=f"checker budget: {stop.frontier}",
-        )
-    if move is None:
-        return Trace(initial=start, final=net, steps=tuple(steps), outcome=EQUILIBRIUM)
-    return Trace(
-        initial=start,
-        final=net,
-        steps=tuple(steps),
-        outcome=BUDGET_EXHAUSTED,
-        note=f"{max_steps} steps exhausted with moves remaining",
-    )

@@ -1,14 +1,11 @@
 """Internal cost evaluator used by the checkers and enumerators.
 
-Exact mode multiplies all host weights by the lcm of their denominators
+The engine multiplies all host weights by the lcm of their denominators
 and alpha by its denominator, turning every cost comparison into integer
 arithmetic: with alpha = p/q and weight scale L, the scaled cost of agent
 u is  p * L*w(u, inc) + q * L*d(u, V)  and equals (q*L) times the real
 cost, so all orderings are preserved and converting back to Fractions is
 exact. Infinite distances stay ``math.inf`` and absorb sums/comparisons.
-
-Inexact mode (opt-in) keeps floats and applies a comparison tolerance in
-``improves``; results computed this way are non-authoritative.
 
 Memoized, and nothing else: per network state (keyed by canonical edge
 tuple), each source's distance row and its sum, both computed the first
@@ -39,27 +36,15 @@ class _NetState:
 
 
 class CostEngine:
-    def __init__(self, inst, eps=None):
+    def __init__(self, inst):
         self.inst = inst
-        self.n = inst.n
-        self.exact = eps is None
+        self.n = n = inst.n
         w = inst.host.weights
-        n = self.n
-        if self.exact:
-            scale = lcm(*(w[u][v].denominator for u in range(n) for v in range(n)))
-            self.wscale = scale
-            self.p = inst.alpha.numerator
-            self.q = inst.alpha.denominator
-            self.unit = self.q * scale
-            self.W = [[int(w[u][v] * scale) for v in range(n)] for u in range(n)]
-            self.eps_scaled = 0
-        else:
-            self.wscale = 1
-            self.p = float(inst.alpha)
-            self.q = 1.0
-            self.unit = 1.0
-            self.W = [[float(w[u][v]) for v in range(n)] for u in range(n)]
-            self.eps_scaled = float(eps)
+        scale = lcm(*(w[u][v].denominator for u in range(n) for v in range(n)))
+        self.p = inst.alpha.numerator
+        self.q = inst.alpha.denominator
+        self.unit = self.q * scale
+        self.W = [[int(w[u][v] * scale) for v in range(n)] for u in range(n)]
         self._states = {}
         self._host_rows = None
         self._host_sums = None
@@ -77,9 +62,6 @@ class CostEngine:
             st = _NetState(self.n, adj)
             self._states[key] = st
         return st
-
-    def clear_cache(self):
-        self._states.clear()
 
     def _dijkstra(self, adj, source):
         dist = [INF] * self.n
@@ -150,22 +132,17 @@ class CostEngine:
         return 2 * self.p * edge_part + self.q * dist_part
 
     def to_cost(self, scaled):
-        """Scaled value back to an exact Fraction (or inf / float)."""
+        """Scaled value back to an exact Fraction (or inf)."""
         if is_inf(scaled):
             return INF
-        if self.exact:
-            return Fraction(scaled, self.unit)
-        return scaled / self.unit
+        return Fraction(scaled, self.unit)
 
     # -- comparisons ----------------------------------------------------------
 
     def improves(self, new_scaled, old_scaled) -> bool:
-        """Strict improvement, honoring the tolerance in inexact mode."""
-        if is_inf(new_scaled):
-            return False
-        if is_inf(old_scaled):
-            return True
-        return new_scaled < old_scaled - self.eps_scaled
+        """Strict improvement. Scaled costs are ints or ``inf``, so ``<`` alone
+        says that ``inf`` improves on nothing and any finite cost on ``inf``."""
+        return new_scaled < old_scaled
 
     # -- incremental helpers ----------------------------------------------------
 

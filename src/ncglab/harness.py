@@ -213,21 +213,50 @@ def poa_point(
     heuristic the reported ratio underestimates the true one.
     """
     engine = engine or CostEngine(inst)
-    limit = (limits or ENUM_LIMITS)[concept]
-    if inst.n <= limit:
+    point, _, _ = _measure_poa(
+        inst,
+        concept,
+        engine,
+        worst_only=True,
+        budget=budget,
+        opt_limit=opt_limit,
+        label=label,
+        seed=seed,
+        limits=limits,
+    )
+    return point
+
+
+def _measure_poa(
+    inst, concept, engine, *, worst_only, budget, opt_limit, label, seed, limits=None
+):
+    """The one PoA path behind ``poa_point`` and ``poa_sweep``.
+
+    The worst stable cost comes from enumeration up to the concept's limit
+    (worst-only, or full when the caller needs the stable set) and from
+    sampled dynamics beyond it; the optimum is proven up to ``opt_limit``
+    and heuristic beyond. Returns the point, the ``OptResult`` and the
+    stable networks (None unless fully enumerated).
+    """
+    if inst.n <= (limits or ENUM_LIMITS)[concept]:
         enum = enumerate_stable(
-            inst, concept, budget=budget, limits=limits, worst_only=True, engine=engine
+            inst,
+            concept,
+            budget=budget,
+            limits=limits,
+            worst_only=worst_only,
+            engine=engine,
         )
-        worst_cost, complete = enum.worst_cost, enum.complete
+        worst_cost, complete, stable_nets = enum.worst_cost, enum.complete, enum.networks
     else:
         _, worst_cost = _sampled_worst(inst, concept, budget, engine, seed=seed)
-        complete = False
+        complete, stable_nets = False, None
     if inst.n <= opt_limit:
         opt = brute_force_opt(inst, node_limit=opt_limit, engine=engine)
     else:
         opt = heuristic_opt(inst, seed=seed, engine=engine)
     ratio = None if worst_cost is None else worst_cost / opt.cost
-    return PoaPoint(
+    point = PoaPoint(
         label=label,
         concept=concept,
         n=inst.n,
@@ -238,6 +267,7 @@ def poa_point(
         ratio=ratio,
         complete=complete,
     )
+    return point, opt, stable_nets
 
 
 @dataclass(frozen=True)
@@ -276,7 +306,7 @@ class SweepRow:
     bse_distance_advisory: str = None  # recorded only, asymptotic constant
 
 
-def _check_network_bounds(inst, net, engine, diagnostics):
+def _check_network_bounds(inst, net, diagnostics):
     """Proven per-network facts for stable networks; raises BoundViolation."""
     alpha = inst.alpha
     n = inst.n
@@ -328,33 +358,17 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
     for label, inst, expected in _sweep_instances(cfg):
         engine = CostEngine(inst)
         metric = ensure_metric_checked(inst.host)
-        limit = ENUM_LIMITS[cfg.concept]
-        full_sets = inst.n <= limit
-        if full_sets:
-            enum = enumerate_stable(inst, cfg.concept, budget=cfg.budget, engine=engine)
-            worst_cost = enum.worst_cost
-            complete = enum.complete
-            stable_nets = enum.networks
-        else:
-            _, worst_cost = _sampled_worst(inst, cfg.concept, cfg.budget, engine, cfg.seed)
-            complete = False
-            stable_nets = ()
-        if inst.n <= cfg.opt_limit:
-            opt = brute_force_opt(inst, node_limit=cfg.opt_limit, engine=engine)
-        else:
-            opt = heuristic_opt(inst, seed=cfg.seed, engine=engine)
-        ratio = None if worst_cost is None else worst_cost / opt.cost
-        point = PoaPoint(
+        point, opt, stable_nets = _measure_poa(
+            inst,
+            cfg.concept,
+            engine,
+            worst_only=False,
+            budget=cfg.budget,
+            opt_limit=cfg.opt_limit,
             label=label,
-            concept=cfg.concept,
-            n=inst.n,
-            alpha=inst.alpha,
-            worst_cost=worst_cost,
-            opt_cost=opt.cost,
-            opt_proven=opt.proven,
-            ratio=ratio,
-            complete=complete,
+            seed=cfg.seed,
         )
+        ratio = point.ratio
         diagnostics = {"label": label, "alpha": str(inst.alpha), "n": inst.n}
         alpha = inst.alpha
         bound_2a1 = "n/a"
@@ -372,9 +386,9 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
                         f"{label}: metric ratio {ratio} exceeds {cap}", diagnostics
                     )
                 bound_metric = "ok"
-        nets_to_check = stable_nets if stable_nets else ()
+        nets_to_check = stable_nets or ()
         for net in nets_to_check:
-            _check_network_bounds(inst, net, engine, diagnostics)
+            _check_network_bounds(inst, net, diagnostics)
         bound_stretch = "ok" if nets_to_check else "n/a"
         bound_edge = "ok" if nets_to_check else "n/a"
         if opt.proven:
@@ -383,7 +397,7 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
         else:
             bound_opt = "n/a"
         advisory = None
-        if cfg.concept == BSE and metric and worst_cost is not None and stable_nets:
+        if cfg.concept == BSE and metric and point.stable_found and stable_nets:
             worst_net = max(
                 stable_nets,
                 key=lambda g: (engine.social_cost(g.edges), tuple(reversed(g.edges))),
@@ -397,7 +411,7 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
             SweepRow(
                 point=point,
                 metric=metric,
-                stable_count=len(stable_nets) if stable_nets is not None and full_sets else -1,
+                stable_count=-1 if stable_nets is None else len(stable_nets),
                 bound_2a1=bound_2a1,
                 bound_metric=bound_metric,
                 bound_stretch=bound_stretch,

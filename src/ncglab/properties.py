@@ -13,19 +13,19 @@ from fractions import Fraction
 
 from .dynamics import EQUILIBRIUM, FIRST_FOUND, run_dynamics
 from .engine import CostEngine, canonical_edges
+from .errors import BoundViolation
+from .harness import _check_network_bounds
 from .model import (
     Instance,
     Network,
     cost_report,
     shortest_distances,
     shortest_path_tree,
-    spanner_stretch,
     star_social_cost,
     validate_host,
 )
 from .optimum import _minimum_spanning_tree, brute_force_opt
 from .randomgen import random_instance
-from .scalars import is_inf
 from .stability import best_single_removal
 
 
@@ -265,17 +265,9 @@ def check_stable_network_bounds(seed, trials):
             continue
         converged += 1
         net = trace.final
-        alpha = inst.alpha
-        stretch = spanner_stretch(net, inst.host)
-        report = cost_report(inst, net)
-        edge_total = sum(report.edge_costs) / 2
-        dist_total = sum(report.distance_costs)
-        ok = (
-            not is_inf(stretch)
-            and stretch <= alpha + 1
-            and edge_total <= (2 * alpha / (n - 1) + 1) * dist_total
-        )
-        if not ok:
+        try:
+            _check_network_bounds(inst, net, {})
+        except BoundViolation:
             failures += 1
             if example is None:
                 example = _describe(inst, net)

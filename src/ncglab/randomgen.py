@@ -7,7 +7,7 @@ edge price alpha is attached afterwards and never consumes randomness.
     generally not metric;
   * euclidean: integer grid points with L1 (taxicab) distances, which are
     exact rationals and always metric (true Euclidean lengths would be
-    irrational; they exist only in inexact mode via downstream conversion);
+    irrational);
   * tree: metric closure of a random spanning tree with integer weights.
 """
 

@@ -3,14 +3,12 @@
 Finite quantities are ``fractions.Fraction``; ``math.inf`` is the single
 infinite value, used for distances in disconnected networks. Fractions and
 ``inf`` mix transparently in sums and comparisons, which gives exactly the
-absorption and domination behaviour the cost model needs. The optional
-inexact mode (floats plus a comparison tolerance) lives in the cost engine
-and is labeled non-authoritative wherever it surfaces.
+absorption and domination behaviour the cost model needs.
 
 Square roots never appear as values: every threshold of the form
 ``k * sqrt(alpha) * y`` is decided by comparing squares, and every floor of
-the form ``floor(m / sqrt(alpha))`` by an integer search, so exact mode
-stays exact.
+the form ``floor(m / sqrt(alpha))`` by an integer search, so the
+arithmetic stays exact.
 """
 
 from fractions import Fraction

@@ -219,16 +219,12 @@ class _Search:
         self.alive[u] = eng.improves(eng.q * eng.host_dist_sum(u), self.base[u])
         # spend_cap[u]: strict upper bound on what u can pay for additions in
         # any improving move (edge savings plus distance slack down to the
-        # full-host floor); an added edge neither endpoint can afford can be
-        # filtered out before subset enumeration
-        if is_inf(d_g):
-            self.spend_cap[u] = INF
-        else:
-            self.spend_cap[u] = (
-                eng.p * self.rem_inc[u]
-                + eng.q * (d_g - eng.host_dist_sum(u))
-                - eng.eps_scaled
-            )
+        # full-host floor, infinite while u is disconnected); an added edge
+        # neither endpoint can afford can be filtered out before subset
+        # enumeration
+        self.spend_cap[u] = eng.p * self.rem_inc[u] + eng.q * (
+            d_g - eng.host_dist_sum(u)
+        )
 
     def _prepare_all(self):
         for u in range(self.inst.n):
@@ -236,10 +232,7 @@ class _Search:
 
     def _affordable(self, u, v):
         price = self.engine.p * self.engine.W[u][v]
-        cap_u, cap_v = self.spend_cap[u], self.spend_cap[v]
-        ok_u = is_inf(cap_u) or price < cap_u
-        ok_v = is_inf(cap_v) or price < cap_v
-        return ok_u and ok_v
+        return price < self.spend_cap[u] and price < self.spend_cap[v]
 
     def _note_skip(self, what):
         self.budget_skipped = True
@@ -256,20 +249,21 @@ class _Search:
     def _gain_bound(self, m, plus_key, added_inc):
         """Optimistic gain of member m for any removal set under fixed A.
 
-        None means m provably cannot improve under this A; INF means the
-        bound is vacuous (current cost infinite, candidate finite).
+        None means m provably cannot improve under this A; an infinite bound
+        is vacuous (current cost infinite, candidate finite).
         """
         eng = self.engine
         d_plus = eng.dist_sum(plus_key, m)
         if is_inf(d_plus):
             return None  # still disconnected with every addition in place
-        d_g = self.base_dist[m]
-        if is_inf(d_g):
-            return INF
-        return eng.p * self.rem_inc[m] - eng.p * added_inc + eng.q * (d_g - d_plus)
+        return (
+            eng.p * self.rem_inc[m]
+            - eng.p * added_inc
+            + eng.q * (self.base_dist[m] - d_plus)
+        )
 
     def _bound_allows(self, bound):
-        return bound is not None and (is_inf(bound) or bound > self.engine.eps_scaled)
+        return bound is not None and bound > 0
 
     def _deltas_for(self, move):
         return move_deltas(self.inst, self.net, move, self.engine)
@@ -336,8 +330,7 @@ class _Search:
                 if cap_changes is not None and len(adds) > cap_changes:
                     continue
                 added_inc_u = sum(eng.W[e[0]][e[1]] for e in adds)
-                cap_u = self.spend_cap[u]
-                if not is_inf(cap_u) and adds and eng.p * added_inc_u >= cap_u:
+                if adds and eng.p * added_inc_u >= self.spend_cap[u]:
                     continue  # mover cannot pay for this bundle, no R helps
                 plus_key = canonical_edges(eset | set(adds))
                 partners = [e[0] if e[1] == u else e[1] for e in adds]
@@ -378,10 +371,7 @@ class _Search:
         d_plus = eng.dist_sum(plus_key, v)
         if is_inf(d_plus):
             return None
-        d_g = self.base_dist[v]
-        if is_inf(d_g):
-            return INF
-        return eng.q * (d_g - d_plus) - eng.p * eng.W[edge[0]][edge[1]]
+        return eng.q * (self.base_dist[v] - d_plus) - eng.p * eng.W[edge[0]][edge[1]]
 
     # -- strong equilibrium ------------------------------------------------------
 
@@ -395,7 +385,7 @@ class _Search:
         cap_changes = self.budget.max_changes
         if cap_size is not None and cap_size < len(candidates):
             self._note_skip(f"coalitions larger than {cap_size} unexplored")
-        top = min(len(candidates), cap_size or len(candidates))
+        top = len(candidates) if cap_size is None else min(len(candidates), cap_size)
         for size in range(1, top + 1):
             for gamma in combinations(candidates, size):
                 members = set(gamma)
@@ -428,11 +418,8 @@ class _Search:
                     affordable = True
                     if adds:
                         for m in gamma:
-                            cap_m = self.spend_cap[m]
-                            if is_inf(cap_m):
-                                continue
                             added_inc = sum(eng.W[e[0]][e[1]] for e in adds if m in e)
-                            if added_inc and eng.p * added_inc >= cap_m:
+                            if added_inc and eng.p * added_inc >= self.spend_cap[m]:
                                 affordable = False
                                 break
                     if not affordable:

@@ -1,11 +1,13 @@
 import json
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import ncglab as L
 from ncglab import serialize as S
-from ncglab.cli import main
+from ncglab.cli import build_parser, main
 
 
 @pytest.fixture
@@ -24,6 +26,8 @@ def workdir(tmp_path):
     paths["reference"].write_text(S.network_to_json(fx.reference_net))
     overbuilt = L.Network.from_pairs(4, list(fx.stable_net.edges) + [(1, 3)])
     paths["broken"].write_text(S.network_to_json(overbuilt))
+    paths["empty"] = tmp_path / "empty.json"
+    paths["empty"].write_text(S.network_to_json(L.Network.empty(4)))
     paths["dir"] = tmp_path
     return paths
 
@@ -69,26 +73,22 @@ class TestCheck:
         )
         assert rc == 2
 
+    def test_zero_caps_are_budgets_not_ignored(self, workdir, capsys):
+        # each zero cap admits no move, so the empty network stays undecided
+        for flag in ("--max-moves", "--max-coalition", "--max-changes"):
+            args = [str(workdir["instance"]), str(workdir["empty"]), "--concept", "bse"]
+            rc = main(["check", *args, flag, "0"])
+            assert rc == 2, flag
+            assert "witness" not in capsys.readouterr().out
+
     def test_missing_file_exits_three(self, workdir):
         rc = main(["check", "/nonexistent.json", str(workdir["stable"]), "--concept", "ps"])
         assert rc == 3
 
     def test_bad_flag_exits_three(self, workdir):
-        rc = main(["check", str(workdir["instance"]), str(workdir["stable"]), "--concept", "nope"])
-        assert rc == 3
-
-    def test_inexact_mode_runs(self, workdir):
-        rc = main(
-            [
-                "check",
-                str(workdir["instance"]),
-                str(workdir["stable"]),
-                "--concept",
-                "ps",
-                "--inexact",
-            ]
-        )
-        assert rc == 0
+        files = [str(workdir["instance"]), str(workdir["stable"])]
+        for bad in (["--concept", "nope"], ["--concept", "ps", "--inexact"]):
+            assert main(["check", *files, *bad]) == 3, bad
 
 
 class TestOpt:
@@ -212,3 +212,19 @@ class TestProps:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
+
+
+def test_readme_command_lines_parse():
+    """Every command in the README's command-line block is accepted by the
+    parser, so a removed or renamed flag cannot stay documented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("ncglab ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command rejected by the parser: {line}")

@@ -145,7 +145,13 @@ class TestBse:
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             edges = [e for e in pairs if rng.random() < 0.55]
             net = L.Network.from_pairs(n, edges)
-            assert L.is_bse(inst, net).stable == (_naive_bse(inst, net) is None)
+            expected = _naive_bse(inst, net)
+            if expected is not None:
+                gamma, rems, adds = expected
+                expected = L.Move.make(gamma, rems, adds, concept="bse")
+            verdict = L.is_bse(inst, net)
+            assert verdict.status == ("stable" if expected is None else "unstable")
+            assert verdict.witness == expected
 
     def test_witness_replays_to_strict_improvement(self):
         rng = random.Random(5)
@@ -267,9 +273,27 @@ def _seeded_networks(seed, count, max_n):
         yield inst, L.Network.from_pairs(n, [e for e in pairs if rng.random() < density])
 
 
+def _assert_same_verdicts_unpruned(monkeypatch, name, unpruned):
+    """Verdicts on seeded n<=5 networks (bse only for n<=4) keep their
+    status and witness with ``_Search.<name>`` replaced by ``unpruned``."""
+    cases = [
+        (inst, net, concept)
+        for inst, net in _seeded_networks(47, 100, 5)
+        for concept in L.CONCEPTS
+        if concept != "bse" or inst.n <= 4
+    ]
+    pruned = [L.check(inst, net, c) for inst, net, c in cases]
+    monkeypatch.setattr(_Search, name, unpruned)
+    for (inst, net, c), verdict in zip(cases, pruned):
+        other = L.check(inst, net, c)
+        assert (other.status, other.witness) == (verdict.status, verdict.witness)
+    assert any(v.unstable for v in pruned) and any(v.stable for v in pruned)
+
+
 class TestPruneCrossCheck:
-    """The dead-agent, affordability and gain-bound prunes discard only
-    non-improving moves: unpruned searches find the same first witness."""
+    """The dead-agent, affordability, gain-bound and coverage prunes discard
+    only non-improving moves: unpruned searches find the same first witness
+    (the coverage prune is checked against ``_naive_bse`` in ``TestBse``)."""
 
     @pytest.mark.parametrize("concept, naive", [("ps", _naive_ps), ("bne", _naive_bne)])
     def test_matches_unpruned_reference(self, concept, naive):
@@ -283,13 +307,6 @@ class TestPruneCrossCheck:
         assert 0 < unstable < 120
 
     def test_every_agent_alive_and_unbounded_gives_same_verdicts(self, monkeypatch):
-        cases = [
-            (inst, net, concept)
-            for inst, net in _seeded_networks(47, 100, 5)
-            for concept in L.CONCEPTS
-            if concept != "bse" or inst.n <= 4
-        ]
-        pruned = [L.check(inst, net, c) for inst, net, c in cases]
         prepare = _Search._prepare
 
         def prepare_unpruned(self, u):
@@ -297,11 +314,12 @@ class TestPruneCrossCheck:
             self.alive[u] = True
             self.spend_cap[u] = INF
 
-        monkeypatch.setattr(_Search, "_prepare", prepare_unpruned)
-        for (inst, net, c), verdict in zip(cases, pruned):
-            unpruned = L.check(inst, net, c)
-            assert (unpruned.status, unpruned.witness) == (verdict.status, verdict.witness)
-        assert any(v.unstable for v in pruned) and any(v.stable for v in pruned)
+        _assert_same_verdicts_unpruned(monkeypatch, "_prepare", prepare_unpruned)
+
+    def test_gain_bounds_off_gives_same_verdicts(self, monkeypatch):
+        _assert_same_verdicts_unpruned(
+            monkeypatch, "_bound_allows", lambda self, bound: True
+        )
 
 
 class TestBudgets:
@@ -329,6 +347,13 @@ class TestBudgets:
         )
         verdict = L.is_bse(inst, L.Network.empty(2), budget=L.Budget(max_changes=1))
         assert verdict.unstable
+
+    def test_zero_coalition_cap_searches_nothing(self):
+        fx = L.gen_general_bse(4, F(2))
+        budget = L.Budget(max_coalition=0)
+        verdict = L.is_bse(fx.instance, L.Network.empty(4), budget=budget)
+        assert verdict.inconclusive
+        assert verdict.moves_evaluated == 0
 
     def test_generous_budget_still_concludes(self):
         fx = L.gen_general_bse(4, F(2))
@@ -395,17 +420,13 @@ class TestExactBoundaries:
         assert deltas[3] < 0
         assert not L.is_improving(fx.instance, fx.stable_net, move)
 
-    def test_float_mode_can_misclassify_without_tolerance(self):
-        # found by seeded search: a zero-delta boundary that float rounding
-        # turns into a phantom improvement; the tolerance hides it again
+    def test_rounding_prone_boundary_is_pairwise_stable(self):
+        # found by seeded search: float costs turn this zero-delta boundary
+        # into a phantom improvement; exact costs keep it stable
         h = host([[0, "8/5", "1/3"], ["8/5", 0, "23/3"], ["1/3", "23/3", 0]])
         inst = L.Instance(host=h, alpha=F(4))
         net = L.Network.from_pairs(3, [(0, 2), (1, 2)])
         assert L.is_pairwise_stable(inst, net).stable
-        sloppy = CostEngine(inst, eps=0.0)
-        assert not L.is_pairwise_stable(inst, net, engine=sloppy).stable
-        tolerant = CostEngine(inst, eps=1e-9)
-        assert L.is_pairwise_stable(inst, net, engine=tolerant).stable
 
 
 class TestContainment:
