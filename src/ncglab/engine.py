@@ -6,6 +6,8 @@ arithmetic: with alpha = p/q and weight scale L, the scaled cost of agent
 u is  p * L*w(u, inc) + q * L*d(u, V)  and equals (q*L) times the real
 cost, so all orderings are preserved and converting back to Fractions is
 exact. Infinite distances stay ``math.inf`` and absorb sums/comparisons.
+Strict improvement is plain ``new < old``: scaled costs are ints or
+``inf``, so ``inf`` improves on nothing and any finite cost on ``inf``.
 
 Memoized, and nothing else: per network state (keyed by canonical edge
 tuple), each source's distance row and its sum, both computed the first
@@ -136,13 +138,6 @@ class CostEngine:
         if is_inf(scaled):
             return INF
         return Fraction(scaled, self.unit)
-
-    # -- comparisons ----------------------------------------------------------
-
-    def improves(self, new_scaled, old_scaled) -> bool:
-        """Strict improvement. Scaled costs are ints or ``inf``, so ``<`` alone
-        says that ``inf`` improves on nothing and any finite cost on ``inf``."""
-        return new_scaled < old_scaled
 
     # -- incremental helpers ----------------------------------------------------
 

@@ -22,7 +22,7 @@ from .model import (
 )
 from .optimum import _all_pairs, _connected_mask, brute_force_opt, heuristic_opt, opt_spanner_check
 from .randomgen import random_instance
-from .scalars import format_rational, is_inf
+from .scalars import INF, format_rational, is_inf
 from .stability import BNE, BSE, PS, Budget, check
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
@@ -63,7 +63,6 @@ def enumerate_stable(
     inst: Instance,
     concept: str,
     budget: Budget = None,
-    limits=None,
     worst_only: bool = False,
     use_containment: bool = True,
     engine: CostEngine = None,
@@ -85,7 +84,7 @@ def enumerate_stable(
     computed only for the networks found stable: most candidates fail
     their first ps move long before all n distance rows are needed.
     """
-    limit = (limits or ENUM_LIMITS)[concept]
+    limit = ENUM_LIMITS[concept]
     if inst.n > limit:
         raise InstanceTooLarge(inst.n, limit, f"{concept} enumeration")
     engine = engine or CostEngine(inst)
@@ -148,7 +147,7 @@ class PoaPoint:
     worst_cost: Fraction  # None when no stable network was found
     opt_cost: Fraction
     opt_proven: bool
-    ratio: Fraction  # None when no stable network was found
+    ratio: Fraction  # None when no stable network was found; inf over a zero optimum
     complete: bool  # True only when every subgraph was accounted for
 
     @property
@@ -201,7 +200,6 @@ def poa_point(
     inst: Instance,
     concept: str,
     budget: Budget = None,
-    limits=None,
     opt_limit: int = 7,
     label: str = "",
     engine: CostEngine = None,
@@ -222,30 +220,24 @@ def poa_point(
         opt_limit=opt_limit,
         label=label,
         seed=seed,
-        limits=limits,
     )
     return point
 
 
-def _measure_poa(
-    inst, concept, engine, *, worst_only, budget, opt_limit, label, seed, limits=None
-):
+def _measure_poa(inst, concept, engine, *, worst_only, budget, opt_limit, label, seed):
     """The one PoA path behind ``poa_point`` and ``poa_sweep``.
 
     The worst stable cost comes from enumeration up to the concept's limit
     (worst-only, or full when the caller needs the stable set) and from
     sampled dynamics beyond it; the optimum is proven up to ``opt_limit``
-    and heuristic beyond. Returns the point, the ``OptResult`` and the
-    stable networks (None unless fully enumerated).
+    and heuristic beyond. A zero optimum (zero-weight links spanning the
+    host) gives ratio 1 against a zero worst cost and ``inf`` otherwise.
+    Returns the point, the ``OptResult`` and the stable networks (None
+    unless fully enumerated).
     """
-    if inst.n <= (limits or ENUM_LIMITS)[concept]:
+    if inst.n <= ENUM_LIMITS[concept]:
         enum = enumerate_stable(
-            inst,
-            concept,
-            budget=budget,
-            limits=limits,
-            worst_only=worst_only,
-            engine=engine,
+            inst, concept, budget=budget, worst_only=worst_only, engine=engine
         )
         worst_cost, complete, stable_nets = enum.worst_cost, enum.complete, enum.networks
     else:
@@ -255,7 +247,14 @@ def _measure_poa(
         opt = brute_force_opt(inst, node_limit=opt_limit, engine=engine)
     else:
         opt = heuristic_opt(inst, seed=seed, engine=engine)
-    ratio = None if worst_cost is None else worst_cost / opt.cost
+    if worst_cost is None:
+        ratio = None
+    elif worst_cost == opt.cost:
+        ratio = Fraction(1)
+    elif opt.cost == 0:
+        ratio = INF
+    else:
+        ratio = worst_cost / opt.cost
     point = PoaPoint(
         label=label,
         concept=concept,

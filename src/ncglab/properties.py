@@ -145,7 +145,7 @@ def check_single_removal_dominance(seed, trials):
         done += 1
         base = engine.member_cost(net.edges, u)
         after = engine.member_cost(canonical_edges(set(net.edges) - set(subset)), u)
-        if not engine.improves(after, base):
+        if after >= base:
             continue
         best = best_single_removal(inst, net, u, engine=engine)
         if best is None or not (best[1] < 0):
@@ -160,7 +160,7 @@ def check_single_removal_dominance(seed, trials):
                         return False
                     b = e2.member_cost(g.edges, u)
                     a = e2.member_cost(canonical_edges(set(g.edges) - set(sub)), u)
-                    if not e2.improves(a, b):
+                    if a >= b:
                         return False
                     bs = best_single_removal(i, g, u, engine=e2)
                     return bs is None or not (bs[1] < 0)

@@ -18,12 +18,19 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
   * per-addition-set bounds: with the addition set A fixed, every
     candidate result is a subgraph of G+A, so distances are bounded below
     by those of G+A while edge savings are bounded by the weight of all
-    currently incident edges; a member whose optimistic gain is still
-    non-positive rules out every removal subset under this A;
-  * active coalitions: a move leaving some member untouched is the same
-    move under the smaller coalition, which was enumerated earlier
-    (coalitions are visited by increasing size, then lexicographically),
-    so only moves touching every member are evaluated.
+    currently incident edges for a mover and are zero for a partner (see
+    below); a member whose optimistic gain is still non-positive rules out
+    every removal subset under this A;
+  * active coalitions: both searches are one joint search over movers,
+    who may remove any incident edge, and partners, the other endpoints
+    of their additions, who remove nothing and pay only for their own new
+    edges; bne is the joint search with one mover, bse the one whose
+    additions stay inside the mover set. A bse move leaving some mover
+    untouched is the same move under the smaller coalition, which was
+    enumerated earlier (coalitions are visited by increasing size, then
+    lexicographically), so only moves touching every mover are evaluated;
+    partners are touched by their additions, and a lone bne mover by
+    every non-empty move.
 
 Pruned moves never count against the move budget and cannot change which
 witness is found first, because only non-improving moves are pruned.
@@ -166,12 +173,10 @@ def is_improving(inst: Instance, net: Network, move: Move, engine: CostEngine = 
     """True iff the move strictly improves every coalition member."""
     engine = engine or CostEngine(inst)
     after = apply_move(net, move).edges
-    for m in move.coalition:
-        if not engine.improves(
-            engine.member_cost(after, m), engine.member_cost(net.edges, m)
-        ):
-            return False
-    return True
+    return all(
+        engine.member_cost(after, m) < engine.member_cost(net.edges, m)
+        for m in move.coalition
+    )
 
 
 class _BudgetStop(Exception):
@@ -216,7 +221,7 @@ class _Search:
         self.base[u] = eng.p * self.rem_inc[u] + eng.q * d_g
         self.base_dist[u] = d_g
         # dead agents can never strictly improve anywhere (see module doc)
-        self.alive[u] = eng.improves(eng.q * eng.host_dist_sum(u), self.base[u])
+        self.alive[u] = eng.q * eng.host_dist_sum(u) < self.base[u]
         # spend_cap[u]: strict upper bound on what u can pay for additions in
         # any improving move (edge savings plus distance slack down to the
         # full-host floor, infinite while u is disconnected); an added edge
@@ -240,24 +245,26 @@ class _Search:
             self.frontier = what
 
     def _count_eval(self):
-        self.evaluated += 1
         cap = self.budget.max_moves
-        if cap is not None and self.evaluated > cap:
+        if cap is not None and self.evaluated >= cap:
             self._note_skip(f"move budget {cap} exhausted")
             raise _BudgetStop()
+        self.evaluated += 1
 
-    def _gain_bound(self, m, plus_key, added_inc):
+    def _gain_bound(self, m, plus_key, added_inc, removable_inc):
         """Optimistic gain of member m for any removal set under fixed A.
 
-        None means m provably cannot improve under this A; an infinite bound
-        is vacuous (current cost infinite, candidate finite).
+        ``removable_inc`` is the weight m may still shed: all its incident
+        edges for a mover, zero for a partner. None means m provably cannot
+        improve under this A; an infinite bound is vacuous (current cost
+        infinite, candidate finite).
         """
         eng = self.engine
         d_plus = eng.dist_sum(plus_key, m)
         if is_inf(d_plus):
             return None  # still disconnected with every addition in place
         return (
-            eng.p * self.rem_inc[m]
+            eng.p * removable_inc
             - eng.p * added_inc
             + eng.q * (self.base_dist[m] - d_plus)
         )
@@ -282,7 +289,7 @@ class _Search:
             for e in incident:
                 self._count_eval()
                 new_key = canonical_edges(eset - {e})
-                if eng.improves(eng.member_cost(new_key, u), self.base[u]):
+                if eng.member_cost(new_key, u) < self.base[u]:
                     yield Move.make((u,), removals=(e,), concept=PS)
             for v in range(u + 1, n):
                 if (u, v) in eset:
@@ -295,178 +302,118 @@ class _Search:
                 cost_u = eng.p * (self.rem_inc[u] + w) + eng.q * sum(
                     eng.row_after_add(self.gkey, u, v)
                 )
-                if not eng.improves(cost_u, self.base[u]):
+                if cost_u >= self.base[u]:
                     continue
                 cost_v = eng.p * (self.rem_inc[v] + w) + eng.q * sum(
                     eng.row_after_add(self.gkey, v, u)
                 )
-                if eng.improves(cost_v, self.base[v]):
+                if cost_v < self.base[v]:
                     yield Move.make((u, v), additions=((u, v),), concept=PS)
 
-    # -- neighborhood equilibrium ---------------------------------------------
+    # -- neighborhood and strong equilibrium ----------------------------------
 
     def bne_moves(self):
-        eng = self.engine
         eset = self.net.edge_set()
         n = self.inst.n
-        cap_changes = self.budget.max_changes
         self._prepare_all()
         for u in range(n):
             if not self.alive[u]:
                 continue
-            removable = sorted(e for e in self.net.edges if u in e)
             addable = sorted(
-                (min(u, v), max(u, v))
+                _pair((u, v))
                 for v in range(n)
                 if v != u
-                and (min(u, v), max(u, v)) not in eset
+                and _pair((u, v)) not in eset
                 and self.alive[v]
                 and self._affordable(u, v)
             )
-            if cap_changes is not None and len(removable) + len(addable) > cap_changes:
-                self._note_skip(f"agent {u}: moves beyond {cap_changes} changes")
-            for a_mask in range(1 << len(addable)):
-                adds = [addable[i] for i in range(len(addable)) if a_mask >> i & 1]
-                if cap_changes is not None and len(adds) > cap_changes:
-                    continue
-                added_inc_u = sum(eng.W[e[0]][e[1]] for e in adds)
-                if adds and eng.p * added_inc_u >= self.spend_cap[u]:
-                    continue  # mover cannot pay for this bundle, no R helps
-                plus_key = canonical_edges(eset | set(adds))
-                partners = [e[0] if e[1] == u else e[1] for e in adds]
-                # a partner pays for its one new edge and removes nothing
-                ok = True
-                for e, v in zip(adds, partners):
-                    gain = self._partner_gain_bound(v, e, plus_key)
-                    if not self._bound_allows(gain):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if not self._bound_allows(self._gain_bound(u, plus_key, added_inc_u)):
-                    continue
-                plus_set = eset | set(adds)
-                for r_mask in range(1 << len(removable)):
-                    if a_mask == 0 and r_mask == 0:
-                        continue
-                    rems = [
-                        removable[i] for i in range(len(removable)) if r_mask >> i & 1
-                    ]
-                    if cap_changes is not None and len(rems) + len(adds) > cap_changes:
-                        continue
-                    self._count_eval()
-                    new_key = canonical_edges(plus_set - set(rems))
-                    if not eng.improves(eng.member_cost(new_key, u), self.base[u]):
-                        continue
-                    if all(
-                        eng.improves(eng.member_cost(new_key, v), self.base[v])
-                        for v in partners
-                    ):
-                        yield Move.make(
-                            (u, *partners), removals=rems, additions=adds, concept=BNE
-                        )
-
-    def _partner_gain_bound(self, v, edge, plus_key):
-        eng = self.engine
-        d_plus = eng.dist_sum(plus_key, v)
-        if is_inf(d_plus):
-            return None
-        return eng.q * (self.base_dist[v] - d_plus) - eng.p * eng.W[edge[0]][edge[1]]
-
-    # -- strong equilibrium ------------------------------------------------------
+            yield from self._joint_moves((u,), addable, BNE, f"agent {u}")
 
     def bse_moves(self):
-        eng = self.engine
         eset = self.net.edge_set()
-        n = self.inst.n
         self._prepare_all()
-        candidates = [u for u in range(n) if self.alive[u]]
+        candidates = [u for u in range(self.inst.n) if self.alive[u]]
         cap_size = self.budget.max_coalition
-        cap_changes = self.budget.max_changes
         if cap_size is not None and cap_size < len(candidates):
             self._note_skip(f"coalitions larger than {cap_size} unexplored")
         top = len(candidates) if cap_size is None else min(len(candidates), cap_size)
         for size in range(1, top + 1):
             for gamma in combinations(candidates, size):
-                members = set(gamma)
-                removable = sorted(
-                    e for e in self.net.edges if e[0] in members or e[1] in members
-                )
-                addable = sorted(
+                addable = [
                     (a, b)
                     for a, b in combinations(gamma, 2)
                     if (a, b) not in eset and self._affordable(a, b)
-                )
-                if (
-                    cap_changes is not None
-                    and len(removable) + len(addable) > cap_changes
-                ):
-                    self._note_skip(
-                        f"coalition {gamma}: moves beyond {cap_changes} changes"
-                    )
-                bit = {m: 1 << i for i, m in enumerate(gamma)}
-                full_cov = (1 << size) - 1
-                rem_cov = [
-                    (bit.get(e[0], 0) | bit.get(e[1], 0)) for e in removable
                 ]
-                add_cov = [bit[e[0]] | bit[e[1]] for e in addable]
-                for a_mask in range(1 << len(addable)):
-                    adds = [addable[i] for i in range(len(addable)) if a_mask >> i & 1]
-                    if cap_changes is not None and len(adds) > cap_changes:
-                        continue
-                    # cheap affordability sum per member before any Dijkstra
-                    affordable = True
-                    if adds:
-                        for m in gamma:
-                            added_inc = sum(eng.W[e[0]][e[1]] for e in adds if m in e)
-                            if added_inc and eng.p * added_inc >= self.spend_cap[m]:
-                                affordable = False
-                                break
-                    if not affordable:
-                        continue
-                    plus_key = canonical_edges(eset | set(adds))
-                    bounds_ok = True
-                    for m in gamma:
-                        added_inc = sum(
-                            eng.W[e[0]][e[1]] for e in adds if m in e
-                        )
-                        if not self._bound_allows(
-                            self._gain_bound(m, plus_key, added_inc)
-                        ):
-                            bounds_ok = False
-                            break
-                    if not bounds_ok:
-                        continue
-                    a_cov = 0
-                    for i in range(len(addable)):
-                        if a_mask >> i & 1:
-                            a_cov |= add_cov[i]
-                    plus_set = eset | set(adds)
-                    for r_mask in range(1 << len(removable)):
-                        if a_mask == 0 and r_mask == 0:
-                            continue
-                        cov = a_cov
-                        rems = []
-                        for i in range(len(removable)):
-                            if r_mask >> i & 1:
-                                cov |= rem_cov[i]
-                                rems.append(removable[i])
-                        if cov != full_cov:
-                            continue  # untouched member: smaller coalition covers it
-                        if (
-                            cap_changes is not None
-                            and len(rems) + len(adds) > cap_changes
-                        ):
-                            continue
-                        self._count_eval()
-                        new_key = canonical_edges(plus_set - set(rems))
-                        if all(
-                            eng.improves(eng.member_cost(new_key, m), self.base[m])
-                            for m in gamma
-                        ):
-                            yield Move.make(
-                                gamma, removals=rems, additions=adds, concept=BSE
-                            )
+                yield from self._joint_moves(gamma, addable, BSE, f"coalition {gamma}")
+
+    def _joint_moves(self, movers, addable, concept, who):
+        """Improving moves of the movers, with partners, in canonical order.
+
+        Movers may remove any incident edge and add edges from ``addable``
+        (sorted, each with a mover endpoint); every other endpoint of an
+        addition joins as a partner that removes nothing and pays only for
+        its own additions. Addition sets go by increasing mask over
+        ``addable``, then removal sets by increasing mask over the movers'
+        sorted incident edges; only moves touching every mover count.
+        """
+        eng = self.engine
+        cap = self.budget.max_changes
+        bit = {m: 1 << i for i, m in enumerate(movers)}
+        full_cov = (1 << len(movers)) - 1
+        removable = sorted(e for e in self.net.edges if e[0] in bit or e[1] in bit)
+        if cap is not None and len(removable) + len(addable) > cap:
+            self._note_skip(f"{who}: moves beyond {cap} changes")
+        rem_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in removable]
+        add_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in addable]
+        eset = self.net.edge_set()
+        for a_mask in range(1 << len(addable)):
+            adds = []
+            a_cov = 0
+            for i in range(len(addable)):
+                if a_mask >> i & 1:
+                    adds.append(addable[i])
+                    a_cov |= add_cov[i]
+            if cap is not None and len(adds) > cap:
+                continue
+            # members, movers first: what each pays for its additions
+            added_inc = dict.fromkeys(movers, 0)
+            for a, b in adds:
+                w = eng.W[a][b]
+                added_inc[a] = added_inc.get(a, 0) + w
+                added_inc[b] = added_inc.get(b, 0) + w
+            # cheap affordability sum per member before any Dijkstra
+            if any(
+                inc and eng.p * inc >= self.spend_cap[m] for m, inc in added_inc.items()
+            ):
+                continue
+            plus_set = eset | set(adds)
+            plus_key = canonical_edges(plus_set)
+            if not all(
+                self._bound_allows(
+                    self._gain_bound(
+                        m, plus_key, inc, self.rem_inc[m] if m in bit else 0
+                    )
+                )
+                for m, inc in added_inc.items()
+            ):
+                continue
+            for r_mask in range(1 << len(removable)):
+                cov = a_cov
+                rems = []
+                for i in range(len(removable)):
+                    if r_mask >> i & 1:
+                        cov |= rem_cov[i]
+                        rems.append(removable[i])
+                if cov != full_cov:
+                    continue  # empty, or an untouched mover: searched earlier
+                if cap is not None and len(rems) + len(adds) > cap:
+                    continue
+                self._count_eval()
+                new_key = canonical_edges(plus_set - set(rems))
+                if all(eng.member_cost(new_key, m) < self.base[m] for m in added_inc):
+                    yield Move.make(
+                        added_inc, removals=rems, additions=adds, concept=concept
+                    )
 
     def moves(self, concept):
         gen = {PS: self.ps_moves, BNE: self.bne_moves, BSE: self.bse_moves}[concept]

@@ -162,6 +162,13 @@ class TestPoa:
         assert "ratio=3" in out
         assert "complete=True" in out
 
+    def test_zero_optimum_reports_ratio_one(self, tmp_path, capsys):
+        h = L.validate_host([[F(x) for x in r] for r in [[0, 0, 1], [0, 0, 0], [1, 0, 0]]])
+        path = tmp_path / "zero.json"
+        path.write_text(S.instance_to_json(L.Instance(host=h, alpha=F(1))))
+        assert main(["poa", str(path), "--concept", "ps"]) == 0
+        assert "ratio=1 " in capsys.readouterr().out
+
 
 class TestSweep:
     def test_sweep_runs_and_writes_jsonl(self, tmp_path, capsys):

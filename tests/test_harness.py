@@ -3,8 +3,16 @@ from fractions import Fraction as F
 import pytest
 
 import ncglab as L
-from ncglab.errors import InstanceTooLarge
+import ncglab.harness as H
+from ncglab.errors import BoundViolation, InstanceTooLarge
+from ncglab.optimum import OptResult
 from ncglab.properties import property_suite, shrink_counterexample
+
+
+def zero_spanned_instance():
+    """Zero-weight links span this host, so its optimum costs 0."""
+    h = L.validate_host([[F(x) for x in r] for r in [[0, 0, 1], [0, 0, 0], [1, 0, 0]]])
+    return L.Instance(host=h, alpha=F(1))
 
 
 def unit_instance(n, alpha):
@@ -108,6 +116,21 @@ class TestPoaPoint:
             point = L.poa_point(inst, "ps")
             if point.stable_found:
                 assert point.ratio >= 1
+
+    def test_zero_optimum_with_zero_worst_gives_ratio_one(self):
+        point = L.poa_point(zero_spanned_instance(), "ps")
+        assert (point.worst_cost, point.opt_cost, point.ratio) == (0, 0, 1)
+
+    def test_zero_optimum_below_positive_worst_is_infinite(self, monkeypatch):
+        # no host is known where a stable network costs more than a zero
+        # optimum, so a stubbed optimum drives the branch
+        inst = unit_instance(3, 1)
+        zero = OptResult(network=L.Network.complete(3), cost=F(0), proven=True)
+        monkeypatch.setattr(H, "brute_force_opt", lambda *a, **k: zero)
+        assert L.is_inf(L.poa_point(inst, "ps").ratio)
+        cfg = L.SweepConfig(family="random", concept="ps", n_values=(3,), alphas=(F(1),))
+        with pytest.raises(BoundViolation, match="exceeds 2"):
+            L.poa_sweep(cfg)
 
     def test_sampled_fallback_beyond_enum_limit(self):
         inst = L.random_instance(7, "tree", 3, F(2))  # beyond the bse limit 6

@@ -191,7 +191,7 @@ def _naive_bse(inst, net):
                         continue
                     rems = {removable[i] for i in range(len(removable)) if rm >> i & 1}
                     key = canonical_edges((eset | adds) - rems)
-                    if all(eng.improves(eng.member_cost(key, m), base[m]) for m in gamma):
+                    if all(eng.member_cost(key, m) < base[m] for m in gamma):
                         return gamma, rems, adds
     return None
 
@@ -208,13 +208,13 @@ def _naive_ps(inst, net):
     base = [eng.member_cost(gkey, u) for u in range(inst.n)]
     for u in range(inst.n):
         for e in sorted(e for e in gkey if u in e):
-            if eng.improves(eng.member_cost(canonical_edges(eset - {e}), u), base[u]):
+            if eng.member_cost(canonical_edges(eset - {e}), u) < base[u]:
                 return L.Move.make((u,), removals=(e,), concept="ps")
         for v in range(u + 1, inst.n):
             if (u, v) in eset:
                 continue
             key = canonical_edges(eset | {(u, v)})
-            if all(eng.improves(eng.member_cost(key, m), base[m]) for m in (u, v)):
+            if all(eng.member_cost(key, m) < base[m] for m in (u, v)):
                 return L.Move.make((u, v), additions=((u, v),), concept="ps")
     return None
 
@@ -245,9 +245,7 @@ def _naive_bne(inst, net):
                     continue
                 rems = [removable[i] for i in range(len(removable)) if rm >> i & 1]
                 key = canonical_edges((eset | set(adds)) - set(rems))
-                if all(
-                    eng.improves(eng.member_cost(key, m), base[m]) for m in (u, *partners)
-                ):
+                if all(eng.member_cost(key, m) < base[m] for m in (u, *partners)):
                     return L.Move.make(
                         (u, *partners), removals=rems, additions=adds, concept="bne"
                     )
@@ -322,6 +320,78 @@ class TestPruneCrossCheck:
         )
 
 
+def _pinned_case(name):
+    """(instance, network, budget) for the pinned-work cases."""
+    if name == "zero_cluster_5":
+        fx = L.gen_general_bse(5, F(2))
+        return fx.instance, fx.stable_net, None
+    if name == "empty_4_two_changes":
+        fx = L.gen_general_bse(4, F(2))
+        return fx.instance, L.Network.empty(4), L.Budget(max_changes=2)
+    if name == "metric_star_5":
+        fx = L.gen_metric_star(5, F(4), "bne")
+        return fx.instance, fx.stable_net, None
+    # index 11 is a host with zero-weight links, 18 a random-model host
+    index = {"seeded_zero_links": 11, "seeded_random_model": 18}[name]
+    inst, net = list(_seeded_networks(31, 19, 5))[index]
+    return inst, net, None
+
+
+def _witness(coalition, concept, removals=(), additions=()):
+    return L.Move.make(coalition, removals, additions, concept=concept)
+
+
+class TestPinnedWork:
+    """Status, witness, moves evaluated and frontier of the bne and bse
+    searches: one joint mover/partner search must evaluate exactly the
+    moves, in exactly the order, that the separate searches did."""
+
+    @pytest.mark.parametrize(
+        "name, concept, expected",
+        [
+            ("zero_cluster_5", "bne", ("stable", None, 16, None)),
+            ("zero_cluster_5", "bse", ("stable", None, 24, None)),
+            (
+                "empty_4_two_changes",
+                "bne",
+                ("inconclusive", None, 0, "agent 0: moves beyond 2 changes"),
+            ),
+            (
+                "empty_4_two_changes",
+                "bse",
+                ("inconclusive", None, 0, "coalition (0, 1, 2): moves beyond 2 changes"),
+            ),
+            ("metric_star_5", "bne", ("stable", None, 19, None)),
+            ("metric_star_5", "bse", ("stable", None, 494, None)),
+            (
+                "seeded_zero_links",
+                "bne",
+                ("unstable", _witness((3, 4), "bne", additions=[(3, 4)]), 15, None),
+            ),
+            (
+                "seeded_zero_links",
+                "bse",
+                ("unstable", _witness((3, 4), "bse", additions=[(3, 4)]), 72, None),
+            ),
+            (
+                "seeded_random_model",
+                "bne",
+                ("unstable", _witness((0, 2), "bne", additions=[(0, 2)]), 2, None),
+            ),
+            (
+                "seeded_random_model",
+                "bse",
+                ("unstable", _witness((1,), "bse", removals=[(1, 2)]), 2, None),
+            ),
+        ],
+    )
+    def test_verdict_and_work_unchanged(self, name, concept, expected):
+        inst, net, budget = _pinned_case(name)
+        verdict = L.check(inst, net, concept, budget=budget)
+        got = (verdict.status, verdict.witness, verdict.moves_evaluated, verdict.frontier)
+        assert got == expected
+
+
 class TestBudgets:
     def test_tiny_move_budget_is_inconclusive_not_stable(self):
         fx = L.gen_general_bse(5, F(2))
@@ -354,6 +424,14 @@ class TestBudgets:
         verdict = L.is_bse(fx.instance, L.Network.empty(4), budget=budget)
         assert verdict.inconclusive
         assert verdict.moves_evaluated == 0
+
+    def test_move_budget_counts_only_evaluated_moves(self):
+        fx = L.gen_general_bse(4, F(2))
+        budget = L.Budget(max_moves=0)
+        assert L.is_bse(fx.instance, L.Network.empty(4), budget=budget).moves_evaluated == 0
+        fx = L.gen_general_bse(5, F(2))
+        verdict = L.is_bse(fx.instance, fx.stable_net, budget=L.Budget(max_moves=3))
+        assert (verdict.status, verdict.moves_evaluated) == ("inconclusive", 3)
 
     def test_generous_budget_still_concludes(self):
         fx = L.gen_general_bse(4, F(2))
@@ -401,7 +479,7 @@ class TestBestSingleRemoval:
             for mask in range(1, 1 << len(incident)):
                 subset = {incident[i] for i in range(len(incident)) if mask >> i & 1}
                 after = eng.member_cost(canonical_edges(set(net.edges) - subset), u)
-                if eng.improves(after, base):
+                if after < base:
                     improving_subset_exists = True
                     break
             if improving_subset_exists:
