@@ -39,7 +39,7 @@ from .model import (
     validate_host,
 )
 from .optimum import brute_force_opt
-from .scalars import sqrt_exact
+from .scalars import cost_ratio, sqrt_exact
 from .stability import BNE, BSE, PS, Budget, check
 
 FAMILIES = ("zero_cluster", "two_tier_star", "cluster_path")
@@ -260,7 +260,7 @@ def verify_fixture(
 
     stable_cost = cost_report(inst, fixture.stable_net).social_total
     reference_cost = cost_report(inst, fixture.reference_net).social_total
-    ratio = stable_cost / reference_cost
+    ratio = cost_ratio(stable_cost, reference_cost)
     if fixture.ratio_is_asymptotic_only:
         checks.append(
             FixtureCheck(
@@ -287,7 +287,7 @@ def verify_fixture(
                 detail=f"opt={opt.cost} reference={reference_cost}",
             )
         )
-        ratio_vs_opt = stable_cost / opt.cost
+        ratio_vs_opt = cost_ratio(stable_cost, opt.cost)
         checks.append(
             FixtureCheck(
                 name="ratio vs proven optimum at least reference ratio",

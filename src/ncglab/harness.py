@@ -20,9 +20,9 @@ from .model import (
     ensure_metric_checked,
     spanner_stretch,
 )
-from .optimum import _all_pairs, _connected_mask, brute_force_opt, heuristic_opt, opt_spanner_check
+from .optimum import brute_force_opt, connected_subgraphs, heuristic_opt, opt_spanner_check
 from .randomgen import random_instance
-from .scalars import INF, format_rational, is_inf
+from .scalars import cost_ratio, format_rational, is_inf
 from .stability import BNE, BSE, PS, Budget, check
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
@@ -41,18 +41,6 @@ class EnumerationResult:
     @property
     def found_any(self):
         return self.worst is not None
-
-
-def _connected_candidates(inst):
-    """Canonical edges of every connected subgraph."""
-    n = inst.n
-    pairs = _all_pairs(n)
-    out = []
-    for mask in range(1, 1 << len(pairs)):
-        if not _connected_mask(n, pairs, mask):
-            continue
-        out.append(tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
-    return out
 
 
 def _concept_chain(concept):
@@ -80,21 +68,19 @@ def enumerate_stable(
 
     In worst-only mode candidates are visited in descending cost order and
     the scan stops at the first stable network, which is then the worst.
-    Otherwise they are visited in edge-tuple order, and social costs are
-    computed only for the networks found stable: most candidates fail
-    their first ps move long before all n distance rows are needed.
+    Otherwise they are streamed from ``connected_subgraphs`` in edge-tuple
+    order, never held in one list, and social costs are computed only for
+    the networks found stable: most candidates fail their first ps move
+    long before all n distance rows are needed.
     """
     limit = ENUM_LIMITS[concept]
     if inst.n > limit:
         raise InstanceTooLarge(inst.n, limit, f"{concept} enumeration")
     engine = engine or CostEngine(inst)
     chain = _concept_chain(concept) if use_containment else (concept,)
-    candidates = _connected_candidates(inst)
+    candidates = connected_subgraphs(inst.n)
     if worst_only:
-        costs = {key: engine.social_cost(key) for key in candidates}
-        candidates.sort(key=lambda key: (-costs[key], key))
-    else:
-        candidates.sort()
+        candidates = sorted(candidates, key=lambda key: (-engine.social_cost(key), key))
     stable = []
     inconclusive = 0
     checked = 0
@@ -230,8 +216,9 @@ def _measure_poa(inst, concept, engine, *, worst_only, budget, opt_limit, label,
     The worst stable cost comes from enumeration up to the concept's limit
     (worst-only, or full when the caller needs the stable set) and from
     sampled dynamics beyond it; the optimum is proven up to ``opt_limit``
-    and heuristic beyond. A zero optimum (zero-weight links spanning the
-    host) gives ratio 1 against a zero worst cost and ``inf`` otherwise.
+    and heuristic beyond. The ratio is ``cost_ratio``'s: a zero optimum
+    (zero-weight links spanning the host) gives 1 against a zero worst
+    cost and ``inf`` otherwise.
     Returns the point, the ``OptResult`` and the stable networks (None
     unless fully enumerated).
     """
@@ -247,14 +234,7 @@ def _measure_poa(inst, concept, engine, *, worst_only, budget, opt_limit, label,
         opt = brute_force_opt(inst, node_limit=opt_limit, engine=engine)
     else:
         opt = heuristic_opt(inst, seed=seed, engine=engine)
-    if worst_cost is None:
-        ratio = None
-    elif worst_cost == opt.cost:
-        ratio = Fraction(1)
-    elif opt.cost == 0:
-        ratio = INF
-    else:
-        ratio = worst_cost / opt.cost
+    ratio = None if worst_cost is None else cost_ratio(worst_cost, opt.cost)
     point = PoaPoint(
         label=label,
         concept=concept,

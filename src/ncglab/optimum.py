@@ -21,59 +21,75 @@ def _all_pairs(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _connected_mask(n, pairs, mask):
-    parent = list(range(n))
+def connected_subgraphs(n, weights=None, within=None):
+    """Edge tuples of every connected spanning subgraph of K_n, in sorted order.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    A depth-first walk over edge subsets: each node extends its parent's
+    set by one pair of higher index than the parent's last, so the sets
+    come out in the order of their sorted edge tuples, each exactly once.
+    Components are tracked as one node bitmask per vertex along the path.
 
-    components = n
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                components -= 1
-    return components == 1
+    With ``within``, each node's edge spend (the sum of ``weights``, one
+    per pair of ``_all_pairs(n)``) is passed to it as the node is reached,
+    and a node it rejects is skipped with its whole subtree. That is sound
+    for any predicate that rejects every spend above one it rejects:
+    weights are non-negative, so every superset spends at least as much.
+    The predicate may tighten while the walk runs.
+    """
+    pairs = _all_pairs(n)
+    m = len(pairs)
+    full = (1 << n) - 1
+    # (parent's key, components and spend; index of the pair that extends it)
+    stack = [((), [1 << v for v in range(n)], 0, j) for j in range(m - 1, -1, -1)]
+    while stack:
+        key, comp, spend, j = stack.pop()
+        if within is not None:
+            spend += weights[j]
+            if not within(spend):
+                continue
+        u, v = pairs[j]
+        key += (pairs[j],)
+        if not comp[u] >> v & 1:
+            merged = comp[u] | comp[v]
+            comp = [merged if merged >> x & 1 else c for x, c in enumerate(comp)]
+        if comp[0] == full:
+            yield key
+        stack.extend((key, comp, spend, k) for k in range(m - 1, j, -1))
 
 
 def brute_force_opt(inst: Instance, node_limit: int = 7, engine: CostEngine = None):
-    """Minimum social cost over all edge subsets, proven by enumeration.
+    """Minimum social cost over all connected edge subsets, proven by enumeration.
 
-    Disconnected subsets cost infinity and are skipped via union-find.
-    Subsets whose edge spend plus the universal distance floor (full-host
-    distances) already exceed the best cost seen are skipped without a
-    shortest-path run; seeding the bound with the spanning tree's cost
-    makes that prune bite from the start. Ties break toward the
-    canonically smallest edge set.
+    Disconnected subsets cost infinity and are never evaluated. The subsets
+    are visited by ``connected_subgraphs``, a depth-first walk in which
+    each subset's children are its supersets, pruned with the lower bound
+    ``2p * spend + dist_floor``: both endpoints pay alpha for every edge,
+    and no network's distances beat the full host's (``dist_floor``).
+    Weights are non-negative, so the bound never falls down a branch, and
+    a node whose bound exceeds the best cost seen is cut off with its
+    whole subtree, unevaluated. Seeding the best cost with the minimum
+    spanning tree's makes the prune bite from the first node.
+
+    The result is the minimum of ``(cost, key)`` over every connected
+    subset, with ties broken toward the canonically smallest edge set,
+    whatever order the walk takes. A node is cut off only when its bound
+    is strictly above the best cost seen, which never drops below the
+    optimum, so no subset that costs the optimum, tied or not, is cut off.
     """
     n = inst.n
     if n > node_limit:
         raise InstanceTooLarge(n, node_limit, "exact optimum")
     engine = engine or CostEngine(inst)
-    pairs = _all_pairs(n)
-    weights = [engine.W[u][v] for u, v in pairs]
+    weights = [engine.W[u][v] for u, v in _all_pairs(n)]
     dist_floor = engine.q * sum(engine.host_dist_sum(u) for u in range(n))
     best_key = _minimum_spanning_tree(inst)
     best_cost = engine.social_cost(best_key)
     two_p = 2 * engine.p
-    for mask in range(1 << len(pairs)):
-        edge_sum = 0
-        bits = mask
-        i = 0
-        while bits:
-            if bits & 1:
-                edge_sum += weights[i]
-            bits >>= 1
-            i += 1
-        if two_p * edge_sum + dist_floor > best_cost:
-            continue
-        if not _connected_mask(n, pairs, mask):
-            continue
-        key = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+
+    def within(spend):
+        return two_p * spend + dist_floor <= best_cost
+
+    for key in connected_subgraphs(n, weights, within):
         cost = engine.social_cost(key)
         if cost < best_cost or (cost == best_cost and key < best_key):
             best_cost = cost

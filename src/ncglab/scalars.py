@@ -21,6 +21,19 @@ def is_inf(x) -> bool:
     return isinstance(x, float) and isinf(x)
 
 
+def cost_ratio(num, den):
+    """``num / den`` for costs, defined where the quotient is not.
+
+    Equal sides give 1, including two zero costs; a zero denominator below
+    the numerator gives ``inf``.
+    """
+    if num == den:
+        return Fraction(1)
+    if den == 0:
+        return INF
+    return num / den
+
+
 def parse_rational(text) -> Fraction:
     """Parse ``"p/q"`` or integer shorthand into a Fraction."""
     if isinstance(text, Fraction):

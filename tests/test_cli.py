@@ -130,6 +130,17 @@ class TestGenAndVerify:
         assert rc == 1  # stability check failed, witness available
         assert "FAIL" in capsys.readouterr().out
 
+    def test_verify_all_zero_host_bundle_reports_a_failure(self, workdir, capsys):
+        data = json.loads(workdir["fixture"].read_text())
+        zero = L.Instance(host=L.validate_host([[F(0)] * 4 for _ in range(4)]), alpha=F(2))
+        data["instance"] = json.loads(S.instance_to_json(zero))
+        bundle = workdir["dir"] / "zero.json"
+        bundle.write_text(json.dumps(data))
+        rc = main(["verify-fixture", str(bundle)])
+        assert rc == 4  # the cost ratio check failed; nothing raised
+        out = capsys.readouterr().out
+        assert "FAIL cost ratio exact  (ratio=1 expected=3)" in out
+
 
 class TestDynamics:
     def test_trace_written(self, workdir, tmp_path, capsys):

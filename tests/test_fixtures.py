@@ -138,6 +138,30 @@ class TestVerifyFixture:
         failed = {c.name for c in report.checks if not c.passed}
         assert any("stable" in name for name in failed)
 
+    def test_all_zero_host_fails_the_ratio_check_without_raising(self):
+        # every network costs 0, so both ratios are 0/0: equal sides give 1
+        fx = L.gen_general_bse(4, F(2))
+        zero = [[F(0)] * 4 for _ in range(4)]
+        bundle = L.Fixture(
+            family=fx.family,
+            variant=fx.variant,
+            instance=L.Instance(host=L.validate_host(zero), alpha=fx.instance.alpha),
+            stable_net=fx.stable_net,
+            reference_net=fx.reference_net,
+            claimed_concept=fx.claimed_concept,
+            expected_ratio=fx.expected_ratio,
+            ratio_is_asymptotic_only=fx.ratio_is_asymptotic_only,
+            requires_metric=fx.requires_metric,
+        )
+        report = L.verify_fixture(bundle)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"cost ratio exact"}
+        details = {c.name: c.detail for c in report.checks}
+        assert details["cost ratio exact"] == f"ratio=1 expected={fx.expected_ratio}"
+        assert details["ratio vs proven optimum at least reference ratio"] == (
+            "vs_opt=1 vs_reference=1"
+        )
+
     def test_report_renders_one_line_per_check(self):
         report = L.verify_fixture(L.gen_general_bse(4, F(1)))
         lines = report.render().splitlines()

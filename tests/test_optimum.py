@@ -5,12 +5,48 @@ import pytest
 
 import ncglab as L
 from ncglab.errors import BoundViolation, InstanceTooLarge, NotProvenOptimal
-from ncglab.optimum import OptResult
+from ncglab.optimum import OptResult, connected_subgraphs
+from ncglab.randomgen import MODELS
 
 
 def unit_instance(n, alpha):
     w = [[F(0) if u == v else F(1) for v in range(n)] for u in range(n)]
     return L.Instance(host=L.validate_host(w), alpha=F(alpha))
+
+
+def all_pairs(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def edge_subsets(n):
+    """Every edge subset of K_n as a sorted edge tuple, by a plain mask scan."""
+    pairs = all_pairs(n)
+    for mask in range(1 << len(pairs)):
+        yield tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+
+def is_connected(n, edges):
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return len(seen) == n
+
+
+def with_zero_links(inst, seed):
+    """A copy of inst with about a third of its host links, chosen by the seed, at weight 0."""
+    rng = random.Random(seed)
+    n = inst.n
+    w = [list(row) for row in inst.host.weights]
+    for u, v in all_pairs(n):
+        if rng.random() < 1 / 3:
+            w[u][v] = w[v][u] = F(0)
+    return L.Instance(host=L.validate_host(w), alpha=inst.alpha)
 
 
 class TestBruteForce:
@@ -53,6 +89,76 @@ class TestBruteForce:
             inst = L.random_instance(4, "uniform", seed, F(3))
             opt = L.brute_force_opt(inst)
             assert L.cost_report(inst, opt.network).connected
+
+    def test_matches_unpruned_exhaustive_oracle(self):
+        # The oracle shares no code with brute_force_opt: its own mask scan,
+        # no prune, and model.cost_report's Fraction costs.
+        def oracle(inst):
+            best = None
+            for edges in edge_subsets(inst.n):
+                report = L.cost_report(inst, L.Network(n=inst.n, edges=edges))
+                if report.connected and (best is None or (report.social_total, edges) < best):
+                    best = (report.social_total, edges)
+            return best
+
+        instances = []
+        for n in range(2, 6):
+            for model in MODELS:
+                for k, alpha in enumerate((F(1, 2), F(2), F(5))):
+                    inst = L.random_instance(n, model, 10 * n + k, alpha)
+                    if k != 1:
+                        inst = with_zero_links(inst, f"{model}:{n}:{k}")
+                    instances.append(inst)
+            instances += [unit_instance(n, alpha) for alpha in (F(1, 2), F(2), F(5))]
+        assert any(
+            inst.host.weights[u][v] == 0 for inst in instances for u, v in all_pairs(inst.n)
+        )
+        for inst in instances:
+            cost, edges = oracle(inst)
+            opt = L.brute_force_opt(inst)
+            assert (opt.cost, opt.network.edges) == (cost, edges)
+            assert opt.proven
+
+
+class TestConnectedSubgraphs:
+    def test_yields_every_connected_labelled_graph_once(self):
+        # OEIS A001187: connected labelled graphs on n nodes
+        for n, count in zip(range(2, 7), (1, 4, 38, 728, 26704)):
+            sets = list(connected_subgraphs(n))
+            assert len(sets) == count
+            assert len(set(sets)) == count
+            assert all(is_connected(n, key) for key in sets)
+
+    def test_order_is_sorted_edge_tuples(self):
+        for n in range(2, 6):
+            expected = sorted(key for key in edge_subsets(n) if is_connected(n, key))
+            assert list(connected_subgraphs(n)) == expected
+
+    def test_spend_predicate_keeps_exactly_the_sets_within_the_bound(self):
+        rng = random.Random(5)
+        for n in (3, 4, 5):
+            pairs = all_pairs(n)
+            weights = [rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in pairs]
+            spend = {p: w for p, w in zip(pairs, weights)}
+            connected = sorted(key for key in edge_subsets(n) if is_connected(n, key))
+            for bound in (0, 3, 7, 12, 20, sum(weights)):
+                calls = []
+
+                def within(s):
+                    calls.append(s)
+                    return s <= bound
+
+                walked = list(connected_subgraphs(n, weights, within))
+                assert walked == [k for k in connected if sum(spend[e] for e in k) <= bound]
+                # A rejected set's subtree is never reached: the predicate sees
+                # exactly the one-pair extensions (by a later pair) of the empty
+                # set and of every set within the bound.
+                expected = sum(
+                    len(pairs) - (pairs.index(k[-1]) + 1 if k else 0)
+                    for k in edge_subsets(n)
+                    if sum(spend[e] for e in k) <= bound
+                )
+                assert len(calls) == expected
 
 
 class TestHeuristic:

@@ -8,6 +8,7 @@ from ncglab.scalars import (
     INF,
     cmp_k_sqrt_alpha,
     cmp_sqrt_alpha_times,
+    cost_ratio,
     floor_div_sqrt,
     floor_half_sqrt,
     format_rational,
@@ -24,6 +25,13 @@ def test_parse_and_format_roundtrip():
     assert format_rational(Fraction(4)) == "4"
     assert format_rational(INF) == "inf"
     assert format_rational(-INF) == "-inf"
+
+
+def test_cost_ratio_is_defined_at_zero_costs():
+    assert cost_ratio(Fraction(6), Fraction(4)) == Fraction(3, 2)
+    assert cost_ratio(Fraction(0), Fraction(0)) == 1
+    assert cost_ratio(Fraction(2), Fraction(0)) == INF
+    assert cost_ratio(INF, INF) == 1
 
 
 @pytest.mark.parametrize("bad", ["", "a/b", "1/0", "1.5.2", None, 2.5])

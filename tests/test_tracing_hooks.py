@@ -1,10 +1,11 @@
 """The benchmark's tracer still finds the library hooks it wraps.
 
 ``bench/tracing.py`` replaces engine methods, ``_run_checker``,
-``_Search.__init__`` and ``move_deltas`` from outside the package and
-reads ``CostEngine._states``. A refactor that renames or re-signs any of
-them would silently zero the traced per-layer metrics; this test fails
-instead.
+``_Search.__init__``, ``move_deltas`` and ``brute_force_opt`` from
+outside the package and reads ``CostEngine._states``. A refactor that
+renames or re-signs any of them, or that evaluates optimum candidates
+without ``CostEngine.social_cost``, would silently zero the traced
+per-layer metrics; these tests fail instead.
 """
 
 import importlib.util
@@ -37,3 +38,17 @@ def test_tracer_counts_an_enumeration_and_uninstalls():
     assert metrics["stability.search_setup.calls"] > 0
     assert metrics["stability.move_deltas.calls"] > 0
     assert metrics["harness.candidates"] == result.checked
+
+
+def test_tracer_counts_the_optimum_search():
+    tracer = _load_tracing().Tracer()
+    original = L.brute_force_opt
+    inst = L.random_instance(5, "uniform", 0, F(2))
+    with tracer.installed(), tracer.root("brute_force_opt"):
+        L.brute_force_opt(inst)
+    assert L.brute_force_opt is original
+    assert "optimum.brute_force" in {name for _, _, name, *_ in tracer.spans}
+    # one evaluation seeds the bound with the spanning tree; the rest are
+    # the walk's candidates, which must go through CostEngine.social_cost
+    assert tracer.counts["optimum.evals"] > 1
+    assert tracer.metrics()["optimum.eval_ratio"] > 0
