@@ -20,7 +20,6 @@ from .model import (
     HostGraph,
     Instance,
     MetricReport,
-    MetricStatus,
     Network,
     cost_report,
     is_metric,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .engine import CostEngine
 from .errors import InconclusiveSearch, LabInputError
-from .guided import GuidedThresholds, guided_bse_candidates
+from .guided import guided_bse_candidates
 from .model import Instance, Network
 from .stability import BSE, _Search, apply_move
 
@@ -45,7 +45,6 @@ def find_improving_move(
     policy: str = FIRST_FOUND,
     budget=None,
     engine: CostEngine = None,
-    thresholds: GuidedThresholds = GuidedThresholds(),
 ):
     """One improving move per the policy, or None when the checker proves
     stability. Raises InconclusiveSearch when the budget runs out first.
@@ -56,7 +55,7 @@ def find_improving_move(
     if policy == GUIDED_FIRST:
         if concept != BSE:
             raise LabInputError("guided-first policy applies to bse only")
-        candidates = guided_bse_candidates(inst, net, thresholds, engine=engine)
+        candidates = guided_bse_candidates(inst, net, engine=engine)
         if candidates:
             return candidates[0]
         policy = FIRST_FOUND
@@ -91,7 +90,6 @@ def run_dynamics(
     policy: str = FIRST_FOUND,
     max_steps: int = 100,
     budget=None,
-    thresholds: GuidedThresholds = GuidedThresholds(),
     engine: CostEngine = None,
     _mover=None,
 ) -> Trace:
@@ -111,8 +109,7 @@ def run_dynamics(
         if _mover is not None:
             return _mover(inst, current, engine)
         return find_improving_move(
-            inst, current, concept, policy, budget=budget, engine=engine,
-            thresholds=thresholds,
+            inst, current, concept, policy, budget=budget, engine=engine
         )
 
     seen = {start.edges: 0}

@@ -179,9 +179,7 @@ def gen_metric_path(n: int, alpha: Fraction) -> Fixture:
     for c in range(x, n):
         for j in range(1, x):
             setw(c, j, 1 if j == 1 else 2)  # cluster sits at distance 0 from node 0
-    host = validate_host(w)
-    is_metric(host)
-    inst = Instance(host=host, alpha=alpha)
+    inst = Instance(host=validate_host(w), alpha=alpha)
     stable = Network.from_pairs(
         n, [(0, c) for c in range(x, n)] + [(i, i + 1) for i in range(x - 1)]
     )

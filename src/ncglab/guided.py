@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .engine import CostEngine
 from .errors import AlphaTooSmall, HostNotMetric
-from .model import Instance, Network, ensure_metric_checked, shortest_distances
+from .model import Instance, Network, is_metric, shortest_distances
 from .scalars import cmp_k_sqrt_alpha, cmp_sqrt_alpha_times, floor_div_sqrt
 from .stability import BSE, Move, is_improving
 
@@ -97,7 +97,7 @@ def _partition(inst: Instance, dist, thresholds: GuidedThresholds) -> GuidedPart
 def guided_partition(
     inst: Instance, net: Network, thresholds: GuidedThresholds = GuidedThresholds()
 ) -> GuidedPartition:
-    if not ensure_metric_checked(inst.host):
+    if not is_metric(inst.host).is_metric:
         raise HostNotMetric("guided moves need a verified-metric host")
     if inst.alpha <= 1:
         raise AlphaTooSmall("guided moves need alpha > 1")
@@ -119,7 +119,7 @@ def _tree_move(inst, net, part, dist, thresholds):
     order = sorted(part.near)
     root = order[0]
     layout = [root] + [u for u in order if u != root]
-    eset = net.edge_set()
+    eset = frozenset(net.edges)
     adds = []
     for i in range(1, len(layout)):
         parent = layout[(i - 1) // arity]
@@ -137,7 +137,7 @@ def _matching_move(inst, net, part):
     stretched = sorted(part.stretched_mid)
     if not cluster or not stretched or len(stretched) > 2 * len(cluster):
         return None
-    eset = net.edge_set()
+    eset = frozenset(net.edges)
     adds = []
     used = set()
     for i, v in enumerate(stretched):
@@ -163,7 +163,7 @@ def guided_bse_candidates(
 
     Raises HostNotMetric / AlphaTooSmall when the preconditions fail.
     """
-    if not ensure_metric_checked(inst.host):
+    if not is_metric(inst.host).is_metric:
         raise HostNotMetric("guided moves need a verified-metric host")
     if inst.alpha <= 1:
         raise AlphaTooSmall("guided moves need alpha > 1")

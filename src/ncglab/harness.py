@@ -13,17 +13,18 @@ from .dynamics import EQUILIBRIUM, FIRST_FOUND, run_dynamics
 from .engine import CostEngine
 from .errors import BoundViolation, InstanceTooLarge, LabInputError
 from .fixtures import FAMILIES, generate
-from .model import (
-    Instance,
-    Network,
-    cost_report,
-    ensure_metric_checked,
-    spanner_stretch,
+from .model import Instance, Network, cost_report, is_metric, spanner_stretch
+from .optimum import (
+    _minimum_spanning_tree,
+    _random_spanning_tree,
+    brute_force_opt,
+    connected_subgraphs,
+    heuristic_opt,
+    opt_spanner_check,
 )
-from .optimum import brute_force_opt, connected_subgraphs, heuristic_opt, opt_spanner_check
 from .randomgen import random_instance
 from .scalars import cost_ratio, format_rational, is_inf
-from .stability import BNE, BSE, PS, Budget, check
+from .stability import BNE, BSE, CONCEPTS, PS, Budget, check
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
 
@@ -37,10 +38,6 @@ class EnumerationResult:
     complete: bool
     checked: int
     inconclusive: int
-
-    @property
-    def found_any(self):
-        return self.worst is not None
 
 
 def _concept_chain(concept):
@@ -150,19 +147,10 @@ def _sampled_worst(inst, concept, budget, engine, seed=0, starts=4, max_steps=30
     requested concept's checker. Since stronger concepts only shrink the
     stable set, an endpoint that passes is a genuine stable network.
     """
-    from .optimum import _minimum_spanning_tree
-
     rng = random.Random(seed)
     n = inst.n
     nets = [Network(n=n, edges=_minimum_spanning_tree(inst)), Network.complete(n)]
-    for _ in range(starts):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        edges = []
-        for i in range(1, n):
-            j = rng.randrange(i)
-            edges.append((perm[i], perm[j]))
-        nets.append(Network.from_pairs(n, edges))
+    nets += [Network(n=n, edges=_random_spanning_tree(n, rng)) for _ in range(starts)]
     worst = None
     worst_cost = None
     for start in nets:
@@ -269,6 +257,8 @@ class SweepConfig:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         if self.family != "random" and self.family not in FAMILIES:
             raise LabInputError(f"unknown family {self.family!r}")
+        if self.concept not in CONCEPTS:
+            raise LabInputError(f"unknown concept {self.concept!r}; know {CONCEPTS}")
 
 
 @dataclass(frozen=True)
@@ -336,7 +326,7 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
     rows = []
     for label, inst, expected in _sweep_instances(cfg):
         engine = CostEngine(inst)
-        metric = ensure_metric_checked(inst.host)
+        metric = is_metric(inst.host).is_metric
         point, opt, stable_nets = _measure_poa(
             inst,
             cfg.concept,

@@ -1,8 +1,9 @@
 """Core model: hosts, instances, networks, distances and the cost function.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs, so everything here is safe to evaluate concurrently
-over disjoint inputs.
+function of its inputs: nothing is cached on a host or a network, so equal
+values stay equal, with equal hashes, whatever has been computed from them.
+Everything here is safe to evaluate concurrently over disjoint inputs.
 
 Conventions baked in here:
   * weights are non-negative exact rationals; zero weights between distinct
@@ -13,8 +14,7 @@ Conventions baked in here:
     derived trees and witnesses are deterministic.
 """
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -29,24 +29,16 @@ from .errors import (
 from .scalars import INF, is_inf
 
 
-class MetricStatus(Enum):
-    UNCHECKED = "unchecked"
-    METRIC = "verified-metric"
-    NONMETRIC = "verified-nonmetric"
-
-
 @dataclass(frozen=True)
 class HostGraph:
-    """Complete weighted graph on nodes 0..n-1.
+    """Complete weighted graph on nodes 0..n-1, fixed by its weights.
 
-    ``metric`` is a verification cache: UNCHECKED until is_metric runs,
-    then pinned to the (deterministic) verdict. Updating the cache is the
-    only mutation this type ever sees.
+    Whether the weights are metric is not stored: ``is_metric`` decides it
+    from the weights on every call.
     """
 
     n: int
     weights: tuple
-    metric: MetricStatus = MetricStatus.UNCHECKED
 
     def weight(self, u: int, v: int) -> Fraction:
         return self.weights[u][v]
@@ -78,8 +70,6 @@ class Network:
 
     n: int
     edges: tuple
-    _adj: dict = field(default=None, compare=False, repr=False)
-    _eset: frozenset = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Network":
@@ -100,37 +90,11 @@ class Network:
     def complete(cls, n: int) -> "Network":
         return cls.from_pairs(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
-    def adjacency(self) -> dict:
-        if self._adj is None:
-            adj = {u: [] for u in range(self.n)}
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            for u in adj:
-                adj[u].sort()
-            object.__setattr__(self, "_adj", adj)
-        return self._adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        pair = (u, v) if u < v else (v, u)
-        return pair in self.edge_set()
-
-    def edge_set(self) -> frozenset:
-        if self._eset is None:
-            object.__setattr__(self, "_eset", frozenset(self.edges))
-        return self._eset
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency()[u])
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
     dist: tuple
     connected: bool
-
-    def __getitem__(self, u: int):
-        return self.dist[u]
 
     def row_sum(self, u: int):
         return sum(self.dist[u])
@@ -180,8 +144,8 @@ def is_metric(host: HostGraph) -> MetricReport:
     """All-triples triangle inequality check (pseudometric: zeros allowed).
 
     Reports the lexicographically smallest violating ordered triple
-    (u, z, v), i.e. the first w(u,v) > w(u,z) + w(z,v), and caches the
-    verdict on the host.
+    (u, z, v), i.e. the first w(u,v) > w(u,z) + w(z,v). Pure: the host is
+    not touched, so each call decides the verdict afresh.
     """
     n, w = host.n, host.weights
     for u in range(n):
@@ -195,20 +159,12 @@ def is_metric(host: HostGraph) -> MetricReport:
                 if v == u or v == z:
                     continue
                 if row_u[v] > wu_z + row_z[v]:
-                    object.__setattr__(host, "metric", MetricStatus.NONMETRIC)
                     return MetricReport(
                         is_metric=False,
                         violation=(u, z, v),
                         slack=row_u[v] - wu_z - row_z[v],
                     )
-    object.__setattr__(host, "metric", MetricStatus.METRIC)
     return MetricReport(is_metric=True)
-
-
-def ensure_metric_checked(host: HostGraph) -> bool:
-    if host.metric is MetricStatus.UNCHECKED:
-        is_metric(host)
-    return host.metric is MetricStatus.METRIC
 
 
 def _dijkstra(n: int, adj, source: int):
@@ -255,8 +211,7 @@ def metric_closure(n: int, weighted_edges) -> HostGraph:
     """Host whose weights are the shortest-path distances of a seed graph.
 
     The closure of any connected non-negative seed satisfies the triangle
-    inequality (distances between distinct nodes may be zero), so the
-    result is tagged verified-metric.
+    inequality (distances between distinct nodes may be zero).
     """
     adj = [[] for _ in range(n)]
     for u, v, w in weighted_edges:
@@ -271,7 +226,7 @@ def metric_closure(n: int, weighted_edges) -> HostGraph:
         if any(is_inf(d) for d in dist):
             raise DisconnectedSeed(f"seed graph does not reach all nodes from {s}")
         rows.append(tuple(dist))
-    return HostGraph(n=n, weights=tuple(rows), metric=MetricStatus.METRIC)
+    return HostGraph(n=n, weights=tuple(rows))
 
 
 def cost_report(inst: Instance, net: Network) -> CostBreakdown:
@@ -284,10 +239,11 @@ def cost_report(inst: Instance, net: Network) -> CostBreakdown:
     """
     host, alpha = inst.host, inst.alpha
     dm = shortest_distances(net, host)
-    edge_costs = []
-    for u in range(net.n):
-        inc = sum((host.weights[u][v] for v in net.adjacency()[u]), Fraction(0))
-        edge_costs.append(alpha * inc)
+    inc = [Fraction(0)] * net.n
+    for u, v in net.edges:
+        inc[u] += host.weights[u][v]
+        inc[v] += host.weights[u][v]
+    edge_costs = [alpha * w for w in inc]
     distance_costs = [dm.row_sum(u) for u in range(net.n)]
     totals = [e + d for e, d in zip(edge_costs, distance_costs)]
     social = sum(totals)
@@ -352,8 +308,8 @@ def shortest_path_tree(net: Network, host: HostGraph, z: int) -> Network:
         if u == z:
             continue
         parent = None
-        for v in net.adjacency()[u]:
-            if not is_inf(dist[v]) and dist[v] + host.weights[v][u] == dist[u]:
+        for v, w in sorted(adj[u]):
+            if dist[v] + w == dist[u]:
                 parent = v
                 break  # neighbors sorted ascending, first hit is smallest
         if parent is None:

@@ -24,7 +24,7 @@ from .model import (
     star_social_cost,
     validate_host,
 )
-from .optimum import _minimum_spanning_tree, brute_force_opt
+from .optimum import _minimum_spanning_tree, _random_spanning_tree, brute_force_opt
 from .randomgen import random_instance
 from .stability import best_single_removal
 
@@ -65,12 +65,7 @@ class PropertyReport:
 
 
 def _random_connected_network(n, rng, extra_p=0.3):
-    edges = set()
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        j = rng.randrange(i)
-        edges.add((min(order[i], order[j]), max(order[i], order[j])))
+    edges = set(_random_spanning_tree(n, rng))
     for u in range(n):
         for v in range(u + 1, n):
             if (u, v) not in edges and rng.random() < extra_p:

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .errors import LabInputError
-from .model import Instance, MetricStatus, metric_closure, validate_host
+from .model import Instance, metric_closure, validate_host
 
 MODELS = ("uniform", "euclidean", "tree")
 _GRID = 64  # denominator of the uniform model's weight grid
@@ -55,7 +55,6 @@ def random_instance(
             for u in range(n)
         ]
         host = validate_host(w)
-        object.__setattr__(host, "metric", MetricStatus.METRIC)
     elif model == "tree":
         edges = [
             (i, rng.randrange(i), Fraction(rng.randint(weight_lo, weight_hi)))

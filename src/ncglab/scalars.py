@@ -79,15 +79,6 @@ def floor_div_sqrt(m: int, alpha: Fraction) -> int:
     return isqrt((m * m * q) // p)
 
 
-def floor_half_sqrt(alpha: Fraction) -> int:
-    """floor(sqrt(alpha) / 2) for alpha >= 0, without square roots."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    p, q = alpha.numerator, alpha.denominator
-    # largest x with 4 x^2 <= alpha, i.e. x^2 <= p / (4q)
-    return isqrt(p // (4 * q))
-
-
 def cmp_k_sqrt_alpha(x, k: int, alpha: Fraction, y):
     """Sign of ``x - k*sqrt(alpha)*y`` for x, y >= 0 (x may be inf).
 

@@ -3,7 +3,8 @@ traces, and sweep configs.
 
 Rationals serialize as "p/q" strings (plain integers allowed as shorthand);
 infinities as "inf"/"-inf". All dumps are key-sorted JSON so identical data
-produces identical bytes.
+produces identical bytes. Every loader raises ``LabInputError`` on any file
+it cannot read into a value, never a bare ``KeyError`` or ``TypeError``.
 """
 
 import json
@@ -11,9 +12,9 @@ import json
 from .errors import LabInputError
 from .fixtures import Fixture
 from .harness import SweepConfig
-from .model import Instance, Network, validate_host
+from .model import Instance, Network, is_metric, validate_host
 from .scalars import format_rational, parse_rational
-from .stability import Budget, Move, Verdict
+from .stability import CONCEPTS, Budget, Move, Verdict
 
 INSTANCE_VERSION = 1
 
@@ -22,10 +23,20 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _parse(text, what):
+def _load(text, what, build):
+    """Parse ``text`` and build a value from it, or raise ``LabInputError``.
+
+    A missing field, a value of the wrong type or shape, and invalid JSON
+    (a ``ValueError``) all become ``LabInputError``. A ``LabInputError``
+    raised by ``build`` is a ``ValueError`` too and passes unchanged.
+    """
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return build(json.loads(text))
+    except LabInputError:
+        raise
+    except KeyError as exc:
+        raise LabInputError(f"{what} file is missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
         raise LabInputError(f"malformed {what} file: {exc}") from exc
 
 
@@ -48,16 +59,16 @@ def instance_to_json(inst: Instance) -> str:
             [format_rational(host.weights[u][v]) for v in range(host.n)]
             for u in range(host.n)
         ],
+        "metric_hint": is_metric(host).is_metric,
     }
-    from .model import MetricStatus
-
-    if host.metric is not MetricStatus.UNCHECKED:
-        payload["metric_hint"] = host.metric is MetricStatus.METRIC
     return _dump(payload)
 
 
 def instance_from_json(text: str) -> Instance:
-    data = _parse(text, "instance")
+    return _load(text, "instance", _instance)
+
+
+def _instance(data) -> Instance:
     if data.get("version") != INSTANCE_VERSION:
         raise LabInputError(f"unsupported instance version {data.get('version')!r}")
     n = data.get("n")
@@ -79,14 +90,14 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str, n: int) -> Network:
-    data = _parse(text, "network")
+    return _load(text, "network", lambda data: _network(data, n))
+
+
+def _network(data, n) -> Network:
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise LabInputError("network file needs an 'edges' list")
-    try:
-        return Network.from_pairs(n, ((int(u), int(v)) for u, v in edges))
-    except (TypeError, ValueError) as exc:
-        raise LabInputError(f"bad edge list: {exc}") from exc
+    return Network.from_pairs(n, ((int(u), int(v)) for u, v in edges))
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -107,7 +118,10 @@ def witness_to_json(verdict: Verdict) -> str:
 
 
 def witness_from_json(text: str) -> Move:
-    data = _parse(text, "witness")
+    return _load(text, "witness", _witness)
+
+
+def _witness(data) -> Move:
     concept = str(data.get("concept", "")).lower()
     return Move.make(
         coalition=tuple(int(u) for u in data.get("coalition", ())),
@@ -149,16 +163,22 @@ def fixture_to_json(fixture: Fixture) -> str:
 
 
 def fixture_from_json(text: str) -> Fixture:
-    data = _parse(text, "fixture")
+    return _load(text, "fixture", _fixture)
+
+
+def _fixture(data) -> Fixture:
     inst = instance_from_json(json.dumps(data["instance"]))
     n = inst.n
+    concept = str(data["concept"]).lower()
+    if concept not in CONCEPTS:
+        raise LabInputError(f"unknown fixture concept {data['concept']!r}")
     return Fixture(
         family=data["family"],
         variant=data.get("variant"),
         instance=inst,
         stable_net=network_from_json(json.dumps(data["stable_net"]), n),
         reference_net=network_from_json(json.dumps(data["reference_net"]), n),
-        claimed_concept=str(data["concept"]).lower(),
+        claimed_concept=concept,
         expected_ratio=_rational(data["expected_ratio"], "expected_ratio"),
         ratio_is_asymptotic_only=bool(data["asymptotic_only"]),
         requires_metric=bool(data.get("requires_metric", False)),
@@ -192,31 +212,30 @@ def trace_to_json(trace) -> str:
 # -- sweep configs ------------------------------------------------------------------
 
 def sweep_config_from_json(text: str) -> SweepConfig:
-    data = _parse(text, "sweep config")
-    try:
-        budget = None
-        if data.get("budget"):
-            b = data["budget"]
-            budget = Budget(
-                max_coalition=b.get("max_coalition"),
-                max_changes=b.get("max_changes"),
-                max_moves=b.get("max_moves"),
-            )
-        return SweepConfig(
-            family=data["family"],
-            concept=str(data["concept"]).lower(),
-            n_values=tuple(int(n) for n in data["n_values"]),
-            alphas=tuple(_rational(a, "alphas") for a in data["alphas"]),
-            model=data.get("model", "uniform"),
-            count=int(data.get("count", 1)),
-            seed=int(data.get("seed", 0)),
-            variant=(data.get("variant") or None)
-            and str(data.get("variant")).lower(),
-            budget=budget,
-            opt_limit=int(data.get("opt_limit", 7)),
+    return _load(text, "sweep config", _sweep_config)
+
+
+def _sweep_config(data) -> SweepConfig:
+    budget = None
+    if data.get("budget"):
+        b = data["budget"]
+        budget = Budget(
+            max_coalition=b.get("max_coalition"),
+            max_changes=b.get("max_changes"),
+            max_moves=b.get("max_moves"),
         )
-    except KeyError as exc:
-        raise LabInputError(f"sweep config missing field {exc}") from exc
+    return SweepConfig(
+        family=data["family"],
+        concept=str(data["concept"]).lower(),
+        n_values=tuple(int(n) for n in data["n_values"]),
+        alphas=tuple(_rational(a, "alphas") for a in data["alphas"]),
+        model=data.get("model", "uniform"),
+        count=int(data.get("count", 1)),
+        seed=int(data.get("seed", 0)),
+        variant=(data.get("variant") or None) and str(data.get("variant")).lower(),
+        budget=budget,
+        opt_limit=int(data.get("opt_limit", 7)),
+    )
 
 
 def sweep_config_to_json(cfg: SweepConfig) -> str:

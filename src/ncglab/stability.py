@@ -140,7 +140,7 @@ def apply_move(net: Network, move: Move) -> Network:
         if e[0] not in members and e[1] not in members:
             raise RemovalOutsideCoalition(f"removal {e} has no endpoint in coalition")
         edges.discard(e)
-    original = net.edge_set()
+    original = frozenset(net.edges)
     for e in move.additions:
         if e in original:
             raise AdditionAlreadyPresent(f"addition {e} already in network")
@@ -201,6 +201,7 @@ class _Search:
         self.engine = engine or CostEngine(inst)
         self.budget = budget or Budget()
         self.gkey = net.edges
+        self.eset = frozenset(net.edges)
         n = inst.n
         adj = self.engine.state(self.gkey).adj
         self.rem_inc = [sum(w for _, w in adj[u]) for u in range(n)]
@@ -279,7 +280,7 @@ class _Search:
 
     def ps_moves(self):
         eng = self.engine
-        eset = self.net.edge_set()
+        eset = self.eset
         n = self.inst.n
         for u in range(n):
             self._prepare(u)
@@ -313,7 +314,7 @@ class _Search:
     # -- neighborhood and strong equilibrium ----------------------------------
 
     def bne_moves(self):
-        eset = self.net.edge_set()
+        eset = self.eset
         n = self.inst.n
         self._prepare_all()
         for u in range(n):
@@ -330,7 +331,7 @@ class _Search:
             yield from self._joint_moves((u,), addable, BNE, f"agent {u}")
 
     def bse_moves(self):
-        eset = self.net.edge_set()
+        eset = self.eset
         self._prepare_all()
         candidates = [u for u in range(self.inst.n) if self.alive[u]]
         cap_size = self.budget.max_coalition
@@ -365,7 +366,7 @@ class _Search:
             self._note_skip(f"{who}: moves beyond {cap} changes")
         rem_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in removable]
         add_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in addable]
-        eset = self.net.edge_set()
+        eset = self.eset
         for a_mask in range(1 << len(addable)):
             adds = []
             a_cov = 0
@@ -442,7 +443,8 @@ def _run_checker(inst, net, concept, budget=None, engine=None):
 
 
 def is_pairwise_stable(inst: Instance, net: Network, engine: CostEngine = None):
-    """Exhaustive single-deletion / single-addition check; always conclusive."""
+    """Exhaustive single-deletion / single-addition check; unbudgeted, so
+    always conclusive. ``check(..., PS, budget=...)`` caps the same search."""
     return _run_checker(inst, net, PS, engine=engine)
 
 
@@ -457,8 +459,6 @@ def is_bse(inst: Instance, net: Network, budget: Budget = None, engine=None):
 def check(inst: Instance, net: Network, concept: str, budget: Budget = None, engine=None):
     if concept not in CONCEPTS:
         raise ValueError(f"unknown concept {concept!r}")
-    if concept == PS:
-        return is_pairwise_stable(inst, net, engine=engine)
     return _run_checker(inst, net, concept, budget=budget, engine=engine)
 
 
@@ -473,7 +473,7 @@ def best_single_removal(inst: Instance, net: Network, u: int, engine=None):
     if not incident:
         return None
     base = engine.member_cost(net.edges, u)
-    eset = net.edge_set()
+    eset = frozenset(net.edges)
     best = None
     for e in incident:
         new = engine.member_cost(canonical_edges(eset - {e}), u)

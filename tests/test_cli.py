@@ -75,10 +75,15 @@ class TestCheck:
 
     def test_zero_caps_are_budgets_not_ignored(self, workdir, capsys):
         # each zero cap admits no move, so the empty network stays undecided
-        for flag in ("--max-moves", "--max-coalition", "--max-changes"):
-            args = [str(workdir["instance"]), str(workdir["empty"]), "--concept", "bse"]
-            rc = main(["check", *args, flag, "0"])
-            assert rc == 2, flag
+        files = [str(workdir["instance"]), str(workdir["empty"])]
+        for concept, flag in (
+            ("bse", "--max-moves"),
+            ("bse", "--max-coalition"),
+            ("bse", "--max-changes"),
+            ("ps", "--max-moves"),
+        ):
+            rc = main(["check", *files, "--concept", concept, flag, "0"])
+            assert rc == 2, (concept, flag)
             assert "witness" not in capsys.readouterr().out
 
     def test_missing_file_exits_three(self, workdir):
@@ -89,6 +94,33 @@ class TestCheck:
         files = [str(workdir["instance"]), str(workdir["stable"])]
         for bad in (["--concept", "nope"], ["--concept", "ps", "--inexact"]):
             assert main(["check", *files, *bad]) == 3, bad
+
+
+_FIXTURE = json.loads(S.fixture_to_json(L.gen_general_bse(4, F(2))))
+_SWEEP = {"family": "zero_cluster", "concept": "bse", "n_values": [4], "alphas": ["2"]}
+
+
+@pytest.mark.parametrize(
+    "command, contents",
+    [
+        pytest.param("verify-fixture", {}, id="fixture-empty"),
+        pytest.param("check", [1, 2], id="instance-list"),
+        pytest.param(
+            "opt", _FIXTURE["instance"] | {"n": 2, "weights": [1, 2]}, id="weights-flat"
+        ),
+        pytest.param("sweep", _SWEEP | {"n_values": ["x"]}, id="sweep-n-text"),
+        pytest.param("sweep", _SWEEP | {"concept": "xx"}, id="sweep-concept"),
+        pytest.param("verify-fixture", _FIXTURE | {"concept": "XX"}, id="fixture-concept"),
+    ],
+)
+def test_malformed_file_exits_three(workdir, capsys, command, contents):
+    path = workdir["dir"] / "malformed.json"
+    path.write_text(json.dumps(contents))
+    args = [command, str(path)]
+    if command == "check":
+        args += [str(workdir["stable"]), "--concept", "ps"]
+    assert main(args) == 3
+    assert "input error" in capsys.readouterr().err
 
 
 class TestOpt:

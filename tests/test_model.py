@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncglab as L
+from ncglab import harness, serialize
 from ncglab.errors import (
     AsymmetricWeight,
     DisconnectedNetwork,
@@ -27,7 +29,7 @@ class TestValidateHost:
     def test_accepts_all_ones(self):
         h = unit_host(3)
         assert h.n == 3
-        assert h.metric is L.MetricStatus.UNCHECKED
+        assert L.is_metric(h).is_metric
 
     def test_rejects_asymmetric(self):
         with pytest.raises(AsymmetricWeight) as err:
@@ -53,7 +55,7 @@ class TestIsMetric:
         h = unit_host(4)
         report = L.is_metric(h)
         assert report.is_metric
-        assert h.metric is L.MetricStatus.METRIC
+        assert L.is_metric(h).is_metric
 
     def test_violation_reports_first_triple_and_slack(self):
         h = host([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
@@ -61,7 +63,7 @@ class TestIsMetric:
         assert not report.is_metric
         assert report.violation == (0, 1, 2)
         assert report.slack == F(1)
-        assert h.metric is L.MetricStatus.NONMETRIC
+        assert not L.is_metric(h).is_metric
 
     def test_zero_cluster_fixture_host_is_not_metric(self):
         fx = L.gen_general_bse(5, F(2))
@@ -252,3 +254,34 @@ def test_cost_identity_exact_recompute():
     w_total = sum(inst.host.weights[u][v] for u, v in net.edges)
     assert first.social_total == 2 * inst.alpha * w_total + sum(first.distance_costs)
     assert first.social_total == sum(first.totals)
+
+
+@pytest.mark.parametrize("model, metric", [("uniform", False), ("tree", True)])
+def test_values_stay_frozen_under_every_read(model, metric, monkeypatch):
+    """Nothing is cached on a value: after the read-only entry points have
+    run on them, an instance, its host and a network keep their fields,
+    stay equal to fresh copies with equal hashes, and serialize the same."""
+    inst = L.random_instance(4, model, 0, 2)
+    net = L.Network.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    before = [dict(vars(x)) for x in (inst, inst.host, net)]
+    text = serialize.instance_to_json(inst)
+    assert json.loads(text)["metric_hint"] is metric  # no prior is_metric call
+
+    assert L.is_metric(inst.host).is_metric is metric
+    for concept in L.CONCEPTS:
+        L.check(inst, net, concept)
+    L.cost_report(inst, net)
+    L.shortest_path_tree(net, inst.host, 0)
+    monkeypatch.setattr(harness, "random_instance", lambda *args: inst)
+    cfg = L.SweepConfig(
+        family="random", concept="ps", n_values=(4,), alphas=(2,), model=model
+    )
+    assert L.poa_sweep(cfg).rows[0].metric is metric
+
+    assert [vars(x) for x in (inst, inst.host, net)] == before
+    fresh = L.random_instance(4, model, 0, 2)
+    fresh_net = L.Network.from_pairs(4, [(2, 3), (1, 2), (0, 1)])
+    for value, copy in ((inst, fresh), (inst.host, fresh.host), (net, fresh_net)):
+        assert value == copy
+        assert hash(value) == hash(copy)
+    assert serialize.instance_to_json(inst) == text

@@ -10,7 +10,6 @@ from ncglab.scalars import (
     cmp_sqrt_alpha_times,
     cost_ratio,
     floor_div_sqrt,
-    floor_half_sqrt,
     format_rational,
     parse_rational,
     sqrt_exact,
@@ -59,18 +58,6 @@ def test_floor_div_sqrt_is_exact_floor(m, p, q):
     t = floor_div_sqrt(m, alpha)
     assert t * t * alpha <= m * m
     assert (t + 1) * (t + 1) * alpha > m * m
-
-
-@given(
-    p=st.integers(min_value=0, max_value=10**8),
-    q=st.integers(min_value=1, max_value=10**4),
-)
-@settings(derandomize=True)
-def test_floor_half_sqrt_is_exact_floor(p, q):
-    alpha = Fraction(p, q)
-    x = floor_half_sqrt(alpha)
-    assert 4 * x * x <= alpha
-    assert 4 * (x + 1) * (x + 1) > alpha
 
 
 def test_sqrt_comparisons_match_floats_away_from_ties():

@@ -35,11 +35,13 @@ class TestInstanceFiles:
         assert inst.alpha == F(3)
         assert inst.host.weights[0][1] == F(5, 2)
 
-    def test_metric_hint_written_after_verification(self):
-        inst = L.random_instance(4, "tree", 1, F(2))
-        L.is_metric(inst.host)
+    @pytest.mark.parametrize("model, metric", [("tree", True), ("uniform", False)])
+    def test_metric_hint_always_written(self, model, metric):
+        # computed from the weights, whether or not anything verified the host
+        inst = L.random_instance(4, model, 1, F(2))
         data = json.loads(S.instance_to_json(inst))
-        assert data["metric_hint"] is True
+        assert data["metric_hint"] is metric
+        assert data["metric_hint"] is L.is_metric(inst.host).is_metric
 
     @pytest.mark.parametrize(
         "mutate",

@@ -425,6 +425,18 @@ class TestBudgets:
         assert verdict.inconclusive
         assert verdict.moves_evaluated == 0
 
+    def test_check_passes_the_budget_to_ps(self):
+        # the same cap that stops ps dynamics stops a ps check
+        fx = L.gen_general_bse(4, F(2))
+        budget = L.Budget(max_moves=0)
+        verdict = L.check(fx.instance, L.Network.empty(4), "ps", budget=budget)
+        assert verdict.inconclusive
+        assert verdict.moves_evaluated == 0
+        trace = L.run_dynamics(fx.instance, L.Network.empty(4), "ps", budget=budget)
+        assert trace.outcome == "budget-exhausted"
+        # unbudgeted, the search finishes (one edge leaves everyone infinite)
+        assert L.is_pairwise_stable(fx.instance, L.Network.empty(4)).stable
+
     def test_move_budget_counts_only_evaluated_moves(self):
         fx = L.gen_general_bse(4, F(2))
         budget = L.Budget(max_moves=0)
