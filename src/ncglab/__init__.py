@@ -69,7 +69,6 @@ from .fixtures import (
 )
 from .guided import (
     GuidedPartition,
-    GuidedThresholds,
     guided_bse_candidates,
     guided_partition,
 )
@@ -82,7 +81,13 @@ from .harness import (
     poa_point,
     poa_sweep,
 )
-from .optimum import OptResult, brute_force_opt, heuristic_opt, opt_spanner_check
+from .optimum import (
+    OptResult,
+    brute_force_opt,
+    heuristic_opt,
+    opt_spanner_check,
+    social_optimum,
+)
 from .properties import PropertyReport, property_suite, shrink_counterexample
 from .randomgen import MODELS, random_instance
 

@@ -12,9 +12,9 @@ from . import dynamics as dyn
 from . import fixtures as fx
 from . import harness, properties, serialize
 from .errors import BoundViolation, LabInputError
-from .optimum import brute_force_opt, heuristic_opt
+from .optimum import brute_force_opt, social_optimum
 from .scalars import format_rational, parse_rational
-from .stability import Budget, CONCEPTS, check
+from .stability import CONCEPTS, INCONCLUSIVE, UNSTABLE, Budget, check
 
 EXIT_OK = 0
 EXIT_UNSTABLE = 1
@@ -78,32 +78,32 @@ def cmd_check(args):
 
 def cmd_opt(args):
     inst = _load_instance(args)
-    if args.proven or inst.n <= args.node_limit:
-        result = brute_force_opt(inst, node_limit=args.node_limit)
+    if args.exact:
+        result = brute_force_opt(inst)
     else:
-        result = heuristic_opt(inst, seed=args.seed)
+        result = social_optimum(inst, seed=args.seed)
     _write_out(serialize.opt_to_json(result), args.out)
     return EXIT_OK
 
 
 def cmd_gen(args):
-    fixture = fx.generate(args.family, args.n, parse_rational(args.alpha), args.variant)
+    fixture = fx.generate(args.family, args.n, args.alpha, args.variant)
     _write_out(serialize.fixture_to_json(fixture), args.out)
     return EXIT_OK
 
 
 def cmd_verify_fixture(args):
     fixture = serialize.fixture_from_json(_read(args.bundle, "fixture bundle"))
-    report = fx.verify_fixture(
-        fixture, budget=_budget_from_args(args), opt_node_limit=args.opt_limit
-    )
+    report = fx.verify_fixture(fixture, budget=_budget_from_args(args))
     print(report.render())
     if report.ok:
         return EXIT_OK
-    stability_failed = any(
-        not c.passed and "stable" in c.name for c in report.checks
-    )
-    return EXIT_UNSTABLE if stability_failed else EXIT_VIOLATION
+    if report.stability == UNSTABLE:
+        return EXIT_UNSTABLE
+    failed = sum(not c.passed for c in report.checks)
+    if report.stability == INCONCLUSIVE and failed == 1:
+        return EXIT_INCONCLUSIVE  # the stability check is the only failure
+    return EXIT_VIOLATION
 
 
 def cmd_dynamics(args):
@@ -151,15 +151,7 @@ def cmd_sweep(args):
 
 
 def cmd_props(args):
-    report = properties.property_suite(
-        seed=args.seed,
-        removal_trials=args.removal_trials,
-        tree_trials=args.tree_trials,
-        ratio_trials=args.ratio_trials,
-        edge_ratio_trials=args.edge_ratio_trials,
-        stable_trials=args.stable_trials,
-        identity_trials=args.identity_trials,
-    )
+    report = properties.property_suite(seed=args.seed)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -182,10 +174,7 @@ def build_parser():
 
     p = sub.add_parser("opt", help="social optimum (exact when small enough)")
     p.add_argument("instance")
-    p.add_argument(
-        "--exact", action="store_true", dest="proven", help="require proven optimum"
-    )
-    p.add_argument("--node-limit", type=int, default=7)
+    p.add_argument("--exact", action="store_true", help="require proven optimum")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_opt)
@@ -193,14 +182,13 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a lower-bound fixture bundle")
     p.add_argument("family", choices=fx.FAMILIES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=parse_rational, required=True)
     p.add_argument("--variant", choices=CONCEPTS, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify-fixture", help="re-verify a fixture bundle's claims")
     p.add_argument("bundle")
-    p.add_argument("--opt-limit", type=int, default=6)
     _add_budget_args(p)
     p.set_defaults(func=cmd_verify_fixture)
 
@@ -229,12 +217,6 @@ def build_parser():
 
     p = sub.add_parser("props", help="seeded randomized property suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--removal-trials", type=int, default=10000)
-    p.add_argument("--tree-trials", type=int, default=1000)
-    p.add_argument("--ratio-trials", type=int, default=300)
-    p.add_argument("--edge-ratio-trials", type=int, default=300)
-    p.add_argument("--stable-trials", type=int, default=150)
-    p.add_argument("--identity-trials", type=int, default=300)
     p.set_defaults(func=cmd_props)
 
     return parser

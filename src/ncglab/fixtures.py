@@ -43,6 +43,12 @@ from .scalars import cost_ratio, sqrt_exact
 from .stability import BNE, BSE, PS, Budget, check
 
 FAMILIES = ("zero_cluster", "two_tier_star", "cluster_path")
+# verify_fixture proves the optimum only up to this n, one below
+# optimum.OPT_LIMIT: zero-weight links defeat brute_force_opt's spend
+# prune. At n=7 on a 2.1 GHz Xeon, zero_cluster (alpha 2, 5) and
+# cluster_path (alpha 16, 25) took 11-14 s each, while two_tier_star and
+# cluster_path at alpha 36 and 49 took at most 0.25 s.
+VERIFY_OPT_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,7 @@ class FixtureCheck:
 @dataclass(frozen=True)
 class FixtureReport:
     checks: tuple
+    stability: str  # the claimed concept's verdict on the stable network
 
     @property
     def ok(self):
@@ -123,6 +130,8 @@ def gen_metric_star(n: int, alpha: Fraction, variant: str = PS) -> Fixture:
     if n < 4:
         raise LabInputError(f"two_tier_star needs n >= 4, got {n}")
     alpha = Fraction(alpha)
+    if alpha <= 0:  # the tier weights divide by alpha
+        raise LabInputError(f"alpha must be positive, got {alpha}")
     if variant == PS:
         a, b = Fraction(1), 2 / alpha
     elif variant == BNE:
@@ -211,12 +220,10 @@ def generate(family: str, n: int, alpha: Fraction, variant: str = None) -> Fixtu
     raise LabInputError(f"unknown fixture family {family!r}; know {FAMILIES}")
 
 
-def verify_fixture(
-    fixture: Fixture, budget: Budget = None, opt_node_limit: int = 6
-) -> FixtureReport:
+def verify_fixture(fixture: Fixture, budget: Budget = None) -> FixtureReport:
     """Run every check the fixture claims: stability, costs, ratio, metricity.
 
-    When the instance is small enough, also proves the optimum and checks
+    Up to ``VERIFY_OPT_LIMIT`` nodes, also proves the optimum and checks
     that the ratio against it is at least the ratio against the reference.
     """
     inst = fixture.instance
@@ -276,8 +283,8 @@ def verify_fixture(
             )
         )
 
-    if inst.n <= opt_node_limit:
-        opt = brute_force_opt(inst, node_limit=opt_node_limit)
+    if inst.n <= VERIFY_OPT_LIMIT:
+        opt = brute_force_opt(inst)
         checks.append(
             FixtureCheck(
                 name="optimum no cheaper than reference",
@@ -293,4 +300,4 @@ def verify_fixture(
                 detail=f"vs_opt={ratio_vs_opt} vs_reference={ratio}",
             )
         )
-    return FixtureReport(checks=tuple(checks))
+    return FixtureReport(checks=tuple(checks), stability=verdict.status)

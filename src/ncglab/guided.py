@@ -14,10 +14,10 @@ stretched relative to that anchor's weight sum:
 
 All threshold comparisons of the form x >= k*sqrt(alpha)*y are decided on
 squares and the tree arity floor(3n/sqrt(alpha)) - 1 by integer search, so
-exact arithmetic is preserved. The numeric thresholds are tuned for
-asymptotics; they are exposed as parameters because smaller values may
-fire more often at desk scale. Every emitted move has been replayed and
-strictly improves every coalition member; callers get no unvetted moves.
+exact arithmetic is preserved. The gates are the constructions'
+multipliers of sqrt(alpha), calibrated for asymptotics. Every emitted
+move has been replayed and strictly improves every coalition member;
+callers get no unvetted moves.
 """
 
 from dataclasses import dataclass
@@ -29,14 +29,10 @@ from .model import Instance, Network, is_metric, shortest_distances
 from .scalars import cmp_k_sqrt_alpha, cmp_sqrt_alpha_times, floor_div_sqrt
 from .stability import BSE, Move, is_improving
 
-
-@dataclass(frozen=True)
-class GuidedThresholds:
-    """Multipliers on sqrt(alpha) in the move-emission gates."""
-
-    tree_gate: int = 13  # min per-agent distance inside the near set
-    hub_radius: int = 52  # (over n) radius of the hub cluster
-    stretch_gate: int = 88  # per-agent distance-to-hub vs anchor weight
+# Multipliers on sqrt(alpha) in the move-emission gates, read at call time.
+TREE_GATE = 13  # min per-agent distance inside the near set
+HUB_RADIUS = 52  # (over n) radius of the hub cluster
+STRETCH_GATE = 88  # per-agent distance-to-hub vs anchor weight
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,11 @@ class GuidedPartition:
     mid: tuple
     far: tuple  # w(u, anchor) > (2/sqrt(alpha)) * sum
     hub: int
-    hub_cluster: tuple  # near agents within (hub_radius*sqrt(alpha)/n) * sum of hub
-    stretched_mid: tuple  # mid agents at distance >= stretch_gate*sqrt(alpha)*w(.,anchor)
+    hub_cluster: tuple  # near agents within (HUB_RADIUS*sqrt(alpha)/n) * sum of hub
+    stretched_mid: tuple  # mid agents at distance >= STRETCH_GATE*sqrt(alpha)*w(.,anchor)
 
 
-def _partition(inst: Instance, dist, thresholds: GuidedThresholds) -> GuidedPartition:
+def _partition(inst: Instance, dist) -> GuidedPartition:
     n = inst.n
     w = inst.host.weights
     alpha = inst.alpha
@@ -74,13 +70,12 @@ def _partition(inst: Instance, dist, thresholds: GuidedThresholds) -> GuidedPart
     hub_cluster = tuple(
         u
         for u in near
-        if cmp_k_sqrt_alpha(n * dist[hub][u], thresholds.hub_radius, alpha, total) <= 0
+        if cmp_k_sqrt_alpha(n * dist[hub][u], HUB_RADIUS, alpha, total) <= 0
     )
     stretched = tuple(
         v
         for v in mid
-        if cmp_k_sqrt_alpha(dist[hub][v], thresholds.stretch_gate, alpha, w[v][anchor])
-        >= 0
+        if cmp_k_sqrt_alpha(dist[hub][v], STRETCH_GATE, alpha, w[v][anchor]) >= 0
     )
     return GuidedPartition(
         anchor=anchor,
@@ -94,18 +89,20 @@ def _partition(inst: Instance, dist, thresholds: GuidedThresholds) -> GuidedPart
     )
 
 
-def guided_partition(
-    inst: Instance, net: Network, thresholds: GuidedThresholds = GuidedThresholds()
-) -> GuidedPartition:
+def _distances(inst: Instance, net: Network):
+    """The network's distance matrix, once the guided preconditions hold."""
     if not is_metric(inst.host).is_metric:
         raise HostNotMetric("guided moves need a verified-metric host")
     if inst.alpha <= 1:
         raise AlphaTooSmall("guided moves need alpha > 1")
-    dist = shortest_distances(net, inst.host).dist
-    return _partition(inst, dist, thresholds)
+    return shortest_distances(net, inst.host).dist
 
 
-def _tree_move(inst, net, part, dist, thresholds):
+def guided_partition(inst: Instance, net: Network) -> GuidedPartition:
+    return _partition(inst, _distances(inst, net))
+
+
+def _tree_move(inst, net, part, dist):
     """Near agents wire an almost complete k-ary tree, k = floor(3n/sqrt(a)) - 1."""
     alpha = inst.alpha
     total = part.anchor_weight_sum
@@ -114,7 +111,7 @@ def _tree_move(inst, net, part, dist, thresholds):
         return None
     for u in part.near:
         d = sum(dist[u][v] for v in part.near)
-        if cmp_k_sqrt_alpha(d, thresholds.tree_gate, alpha, total) <= 0:
+        if cmp_k_sqrt_alpha(d, TREE_GATE, alpha, total) <= 0:
             return None  # someone is already close to the near set
     order = sorted(part.near)
     root = order[0]
@@ -153,25 +150,16 @@ def _matching_move(inst, net, part):
     return Move.make(sorted(used), additions=adds, concept=BSE)
 
 
-def guided_bse_candidates(
-    inst: Instance,
-    net: Network,
-    thresholds: GuidedThresholds = GuidedThresholds(),
-    engine: CostEngine = None,
-):
+def guided_bse_candidates(inst: Instance, net: Network, engine: CostEngine = None):
     """Replay-validated guided moves, possibly empty.
 
     Raises HostNotMetric / AlphaTooSmall when the preconditions fail.
     """
-    if not is_metric(inst.host).is_metric:
-        raise HostNotMetric("guided moves need a verified-metric host")
-    if inst.alpha <= 1:
-        raise AlphaTooSmall("guided moves need alpha > 1")
+    dist = _distances(inst, net)
+    part = _partition(inst, dist)
     engine = engine or CostEngine(inst)
-    dist = shortest_distances(net, inst.host).dist
-    part = _partition(inst, dist, thresholds)
     out = []
-    for move in (_tree_move(inst, net, part, dist, thresholds), _matching_move(inst, net, part)):
+    for move in (_tree_move(inst, net, part, dist), _matching_move(inst, net, part)):
         if move is not None and is_improving(inst, net, move, engine=engine):
             out.append(move)
     return out

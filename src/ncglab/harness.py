@@ -1,5 +1,5 @@
-"""Exhaustive stable-set enumeration, price-of-anarchy measurement, sweeps,
-and the seeded property suite.
+"""Exhaustive stable-set enumeration, price-of-anarchy measurement and
+sweeps with bound checking.
 
 Reports are pure functions of their configuration (no timestamps, no set
 iteration), so repeated runs with the same seeds are byte-identical.
@@ -17,16 +17,20 @@ from .model import Instance, Network, cost_report, is_metric, spanner_stretch
 from .optimum import (
     _minimum_spanning_tree,
     _random_spanning_tree,
-    brute_force_opt,
     connected_subgraphs,
-    heuristic_opt,
     opt_spanner_check,
+    social_optimum,
 )
 from .randomgen import random_instance
 from .scalars import cost_ratio, format_rational, is_inf
 from .stability import BNE, BSE, CONCEPTS, PS, Budget, check
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
+# Beyond ENUM_LIMITS, the worst stable cost is sampled from this many
+# seeded random spanning trees (besides the MST and the complete network),
+# each run for at most this many ps dynamics steps.
+_SAMPLED_STARTS = 4
+_SAMPLED_MAX_STEPS = 300
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ class PoaPoint:
         return self.worst_cost is not None
 
 
-def _sampled_worst(inst, concept, budget, engine, seed=0, starts=4, max_steps=300):
+def _sampled_worst(inst, concept, budget, engine, seed):
     """Fallback beyond enumeration limits: worst certified endpoint of
     seeded improving-response runs. Never complete.
 
@@ -150,11 +154,14 @@ def _sampled_worst(inst, concept, budget, engine, seed=0, starts=4, max_steps=30
     rng = random.Random(seed)
     n = inst.n
     nets = [Network(n=n, edges=_minimum_spanning_tree(inst)), Network.complete(n)]
-    nets += [Network(n=n, edges=_random_spanning_tree(n, rng)) for _ in range(starts)]
+    for _ in range(_SAMPLED_STARTS):
+        nets.append(Network(n=n, edges=_random_spanning_tree(n, rng)))
     worst = None
     worst_cost = None
     for start in nets:
-        trace = run_dynamics(inst, start, PS, FIRST_FOUND, max_steps, engine=engine)
+        trace = run_dynamics(
+            inst, start, PS, FIRST_FOUND, _SAMPLED_MAX_STEPS, engine=engine
+        )
         if trace.outcome != EQUILIBRIUM:
             continue
         if concept != PS:
@@ -174,10 +181,8 @@ def poa_point(
     inst: Instance,
     concept: str,
     budget: Budget = None,
-    opt_limit: int = 7,
     label: str = "",
     engine: CostEngine = None,
-    seed: int = 0,
 ) -> PoaPoint:
     """Worst stable cost over proven (or heuristic) optimum cost.
 
@@ -186,27 +191,19 @@ def poa_point(
     """
     engine = engine or CostEngine(inst)
     point, _, _ = _measure_poa(
-        inst,
-        concept,
-        engine,
-        worst_only=True,
-        budget=budget,
-        opt_limit=opt_limit,
-        label=label,
-        seed=seed,
+        inst, concept, engine, worst_only=True, budget=budget, label=label, seed=0
     )
     return point
 
 
-def _measure_poa(inst, concept, engine, *, worst_only, budget, opt_limit, label, seed):
+def _measure_poa(inst, concept, engine, *, worst_only, budget, label, seed):
     """The one PoA path behind ``poa_point`` and ``poa_sweep``.
 
     The worst stable cost comes from enumeration up to the concept's limit
     (worst-only, or full when the caller needs the stable set) and from
-    sampled dynamics beyond it; the optimum is proven up to ``opt_limit``
-    and heuristic beyond. The ratio is ``cost_ratio``'s: a zero optimum
-    (zero-weight links spanning the host) gives 1 against a zero worst
-    cost and ``inf`` otherwise.
+    sampled dynamics beyond it; the optimum is ``social_optimum``'s. The
+    ratio is ``cost_ratio``'s: a zero optimum (zero-weight links spanning
+    the host) gives 1 against a zero worst cost and ``inf`` otherwise.
     Returns the point, the ``OptResult`` and the stable networks (None
     unless fully enumerated).
     """
@@ -216,12 +213,9 @@ def _measure_poa(inst, concept, engine, *, worst_only, budget, opt_limit, label,
         )
         worst_cost, complete, stable_nets = enum.worst_cost, enum.complete, enum.networks
     else:
-        _, worst_cost = _sampled_worst(inst, concept, budget, engine, seed=seed)
+        _, worst_cost = _sampled_worst(inst, concept, budget, engine, seed)
         complete, stable_nets = False, None
-    if inst.n <= opt_limit:
-        opt = brute_force_opt(inst, node_limit=opt_limit, engine=engine)
-    else:
-        opt = heuristic_opt(inst, seed=seed, engine=engine)
+    opt = social_optimum(inst, seed=seed, engine=engine)
     ratio = None if worst_cost is None else cost_ratio(worst_cost, opt.cost)
     point = PoaPoint(
         label=label,
@@ -250,11 +244,13 @@ class SweepConfig:
     seed: int = 0
     variant: str = None  # two_tier_star only
     budget: Budget = None
-    opt_limit: int = 7
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        for alpha in self.alphas:
+            if alpha <= 0:
+                raise LabInputError(f"alpha must be positive, got {alpha}")
         if self.family != "random" and self.family not in FAMILIES:
             raise LabInputError(f"unknown family {self.family!r}")
         if self.concept not in CONCEPTS:
@@ -333,7 +329,6 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
             engine,
             worst_only=False,
             budget=cfg.budget,
-            opt_limit=cfg.opt_limit,
             label=label,
             seed=cfg.seed,
         )

@@ -23,6 +23,7 @@ from .errors import (
     DisconnectedNetwork,
     DisconnectedSeed,
     HostTooSmall,
+    LabInputError,
     NegativeWeight,
     NonzeroDiagonal,
 )
@@ -53,7 +54,7 @@ class Instance:
         if not isinstance(self.alpha, Fraction):
             object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise LabInputError(f"alpha must be positive, got {self.alpha}")
 
     @property
     def n(self) -> int:

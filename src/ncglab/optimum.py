@@ -9,6 +9,9 @@ from .errors import BoundViolation, InstanceTooLarge, NotProvenOptimal
 from .model import Instance, Network, spanner_stretch
 from .scalars import is_inf
 
+OPT_LIMIT = 7  # largest n whose optimum is proven by enumeration
+HEURISTIC_RESTARTS = 3  # seeded random spanning trees tried by heuristic_opt
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -57,7 +60,15 @@ def connected_subgraphs(n, weights=None, within=None):
         stack.extend((key, comp, spend, k) for k in range(m - 1, j, -1))
 
 
-def brute_force_opt(inst: Instance, node_limit: int = 7, engine: CostEngine = None):
+def social_optimum(inst: Instance, seed: int = 0, engine: CostEngine = None):
+    """The optimum the lab reports: proven by ``brute_force_opt`` up to
+    ``OPT_LIMIT`` nodes, a ``heuristic_opt`` upper bound beyond."""
+    if inst.n <= OPT_LIMIT:
+        return brute_force_opt(inst, engine=engine)
+    return heuristic_opt(inst, seed=seed, engine=engine)
+
+
+def brute_force_opt(inst: Instance, engine: CostEngine = None):
     """Minimum social cost over all connected edge subsets, proven by enumeration.
 
     Disconnected subsets cost infinity and are never evaluated. The subsets
@@ -77,8 +88,8 @@ def brute_force_opt(inst: Instance, node_limit: int = 7, engine: CostEngine = No
     optimum, so no subset that costs the optimum, tied or not, is cut off.
     """
     n = inst.n
-    if n > node_limit:
-        raise InstanceTooLarge(n, node_limit, "exact optimum")
+    if n > OPT_LIMIT:
+        raise InstanceTooLarge(n, OPT_LIMIT, "exact optimum")
     engine = engine or CostEngine(inst)
     weights = [engine.W[u][v] for u, v in _all_pairs(n)]
     dist_floor = engine.q * sum(engine.host_dist_sum(u) for u in range(n))
@@ -173,7 +184,7 @@ def _random_spanning_tree(n, rng):
     return canonical_edges(edges)
 
 
-def heuristic_opt(inst: Instance, seed: int = 0, restarts: int = 3, engine=None):
+def heuristic_opt(inst: Instance, seed: int = 0, engine=None):
     """Connected upper bound on the optimum: best of MST, best star, and
     local search from each plus seeded random spanning trees.
 
@@ -183,7 +194,7 @@ def heuristic_opt(inst: Instance, seed: int = 0, restarts: int = 3, engine=None)
     engine = engine or CostEngine(inst)
     rng = random.Random(seed)
     starts = [_minimum_spanning_tree(inst), _best_star(inst, engine)]
-    starts += [_random_spanning_tree(inst.n, rng) for _ in range(restarts)]
+    starts += [_random_spanning_tree(inst.n, rng) for _ in range(HEURISTIC_RESTARTS)]
     best_cost, best_key = None, None
     for start in starts:
         cost, key = _local_search(inst, engine, start)

@@ -8,6 +8,7 @@ it cannot read into a value, never a bare ``KeyError`` or ``TypeError``.
 """
 
 import json
+from dataclasses import fields
 
 from .errors import LabInputError
 from .fixtures import Fixture
@@ -77,10 +78,7 @@ def _instance(data) -> Instance:
         raise LabInputError("instance weights must be an n x n matrix")
     matrix = [[_rational(x, "weights") for x in row] for row in weights]
     host = validate_host(matrix)
-    alpha = _rational(data.get("alpha"), "alpha")
-    if alpha <= 0:
-        raise LabInputError(f"alpha must be positive, got {alpha}")
-    return Instance(host=host, alpha=alpha)
+    return Instance(host=host, alpha=_rational(data.get("alpha"), "alpha"))
 
 
 # -- networks -----------------------------------------------------------------
@@ -216,14 +214,10 @@ def sweep_config_from_json(text: str) -> SweepConfig:
 
 
 def _sweep_config(data) -> SweepConfig:
-    budget = None
-    if data.get("budget"):
-        b = data["budget"]
-        budget = Budget(
-            max_coalition=b.get("max_coalition"),
-            max_changes=b.get("max_changes"),
-            max_moves=b.get("max_moves"),
-        )
+    unknown = sorted(set(data) - {f.name for f in fields(SweepConfig)})
+    if unknown:
+        raise LabInputError(f"unknown sweep config field(s) {unknown}")
+    budget = Budget(**data["budget"]) if data.get("budget") else None
     return SweepConfig(
         family=data["family"],
         concept=str(data["concept"]).lower(),
@@ -234,7 +228,6 @@ def _sweep_config(data) -> SweepConfig:
         seed=int(data.get("seed", 0)),
         variant=(data.get("variant") or None) and str(data.get("variant")).lower(),
         budget=budget,
-        opt_limit=int(data.get("opt_limit", 7)),
     )
 
 
@@ -248,7 +241,6 @@ def sweep_config_to_json(cfg: SweepConfig) -> str:
         "count": cfg.count,
         "seed": cfg.seed,
         "variant": cfg.variant,
-        "opt_limit": cfg.opt_limit,
     }
     if cfg.budget:
         payload["budget"] = {

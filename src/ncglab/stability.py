@@ -48,13 +48,14 @@ and ``moves_evaluated`` are therefore those of eager setup, while the
 many networks refuted by an early ps move skip most distance rows.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 from .engine import CostEngine, canonical_edges
 from .errors import (
     AdditionAlreadyPresent,
     AdditionOutsideCoalition,
+    LabInputError,
     RemovalNotPresent,
     RemovalOutsideCoalition,
 )
@@ -107,6 +108,15 @@ class Budget:
     max_coalition: int = None
     max_changes: int = None  # |removals| + |additions| per move
     max_moves: int = None  # evaluated candidate moves
+
+    def __post_init__(self):
+        for field in fields(self):
+            cap = getattr(self, field.name)
+            if cap is not None and not (type(cap) is int and cap >= 0):  # no bool
+                raise LabInputError(f"budget {field.name} must be an int >= 0: {cap!r}")
+
+
+_UNLIMITED = Budget()  # shared by unbudgeted searches, validated once
 
 
 @dataclass(frozen=True)
@@ -199,7 +209,7 @@ class _Search:
         self.inst = inst
         self.net = net
         self.engine = engine or CostEngine(inst)
-        self.budget = budget or Budget()
+        self.budget = budget or _UNLIMITED
         self.gkey = net.edges
         self.eset = frozenset(net.edges)
         n = inst.n

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import ncglab as L
+from ncglab import properties
 from ncglab import serialize as S
 from ncglab.cli import build_parser, main
 
@@ -92,8 +93,26 @@ class TestCheck:
 
     def test_bad_flag_exits_three(self, workdir):
         files = [str(workdir["instance"]), str(workdir["stable"])]
-        for bad in (["--concept", "nope"], ["--concept", "ps", "--inexact"]):
+        for bad in (
+            ["--concept", "nope"],
+            ["--concept", "ps", "--inexact"],
+            ["--concept", "ps", "--max-moves", "-1"],
+        ):
             assert main(["check", *files, *bad]) == 3, bad
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["opt", "instance", "--node-limit", "3"],
+        ["verify-fixture", "fixture", "--opt-limit", "5"],
+        ["props", "--removal-trials", "5"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_removed_flags_exit_three(workdir, args):
+    args = [str(workdir.get(a, a)) for a in args]
+    assert main(args) == 3
 
 
 _FIXTURE = json.loads(S.fixture_to_json(L.gen_general_bse(4, F(2))))
@@ -110,6 +129,11 @@ _SWEEP = {"family": "zero_cluster", "concept": "bse", "n_values": [4], "alphas":
         ),
         pytest.param("sweep", _SWEEP | {"n_values": ["x"]}, id="sweep-n-text"),
         pytest.param("sweep", _SWEEP | {"concept": "xx"}, id="sweep-concept"),
+        pytest.param("sweep", _SWEEP | {"alphas": ["-1"]}, id="sweep-alpha-negative"),
+        pytest.param("sweep", _SWEEP | {"opt_limit": 7}, id="sweep-removed-field"),
+        pytest.param("sweep", _SWEEP | {"modle": "tree"}, id="sweep-unknown-field"),
+        pytest.param("sweep", _SWEEP | {"budget": {"max_moves": "x"}}, id="sweep-budget-text"),
+        pytest.param("sweep", _SWEEP | {"budget": {"max_movs": 5}}, id="sweep-budget-field"),
         pytest.param("verify-fixture", _FIXTURE | {"concept": "XX"}, id="fixture-concept"),
     ],
 )
@@ -132,8 +156,10 @@ class TestOpt:
         assert data["proven"] is True
         assert L.parse_rational(data["cost"]) == F(10)
 
-    def test_exact_flag_respects_node_limit(self, workdir):
-        rc = main(["opt", str(workdir["instance"]), "--exact", "--node-limit", "3"])
+    def test_exact_flag_respects_node_limit(self, tmp_path):
+        path = tmp_path / "eight.json"
+        path.write_text(S.instance_to_json(L.random_instance(8, "tree", 0, F(2))))
+        rc = main(["opt", str(path), "--exact"])
         assert rc == 3  # too large for an exact run is an input error
 
 
@@ -152,6 +178,26 @@ class TestGenAndVerify:
     def test_gen_rejects_bad_alpha(self, tmp_path):
         rc = main(["gen", "cluster_path", "--n", "6", "--alpha", "35"])
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "family, alpha",
+        [
+            ("zero_cluster", "-1"),
+            ("zero_cluster", "0"),
+            ("zero_cluster", "abc"),
+            ("two_tier_star", "0"),
+        ],
+    )
+    def test_gen_rejects_non_positive_or_unparsable_alpha(self, family, alpha):
+        assert main(["gen", family, "--n", "4", "--alpha", alpha]) == 3
+
+    def test_verify_inconclusive_stability_exits_two(self, tmp_path, capsys):
+        bundle = tmp_path / "b.json"
+        gen = ["gen", "zero_cluster", "--n", "4", "--alpha", "2", "--out", str(bundle)]
+        assert main(gen) == 0
+        rc = main(["verify-fixture", str(bundle), "--max-moves", "0"])
+        assert rc == 2  # every other check passed, including "stable_net connected"
+        assert "FAIL stable_net is bse-stable  (inconclusive" in capsys.readouterr().out
 
     def test_verify_flags_corrupted_bundle(self, workdir, capsys):
         data = json.loads(workdir["fixture"].read_text())
@@ -239,26 +285,11 @@ class TestSweep:
 
 
 class TestProps:
-    def test_small_props_run_passes(self, capsys):
-        rc = main(
-            [
-                "props",
-                "--seed",
-                "3",
-                "--removal-trials",
-                "60",
-                "--tree-trials",
-                "20",
-                "--ratio-trials",
-                "8",
-                "--edge-ratio-trials",
-                "8",
-                "--stable-trials",
-                "5",
-                "--identity-trials",
-                "10",
-            ]
-        )
+    def test_small_props_run_passes(self, capsys, monkeypatch):
+        trials = (60, 20, 8, 8, 5, 10)
+        small = [(prop, t) for (prop, _), t in zip(properties.SUITE, trials)]
+        monkeypatch.setattr(properties, "SUITE", small)
+        rc = main(["props", "--seed", "3"])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
@@ -278,3 +309,18 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command rejected by the parser: {line}")
+
+
+def test_readme_file_formats_load():
+    """The README's sweep-config and network examples load through the
+    library's loaders, so a documented format cannot drift from them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    examples = {}
+    for line in section.splitlines():
+        for name in ("network", "sweep config"):
+            if line.startswith(f"* {name}: `"):
+                examples[name] = line.split("`")[1]
+    assert S.network_from_json(examples["network"], 4).edges == ((0, 1), (1, 3))
+    cfg = S.sweep_config_from_json(examples["sweep config"])
+    assert (cfg.family, cfg.concept, cfg.n_values) == ("random", "ps", (4, 5))

@@ -4,7 +4,7 @@ import pytest
 
 import ncglab as L
 from ncglab.errors import AlphaTooSmall, HostNotMetric
-from ncglab.guided import GuidedThresholds
+import ncglab.guided as G
 
 
 def clustered_instance(n=40, cluster=34, alpha=25, eps=F(1, 100)):
@@ -87,15 +87,16 @@ class TestCandidates:
         deltas = L.move_deltas(inst, net, move)
         assert all(d < 0 for _, d in deltas)
 
-    def test_tree_move_fires_on_connected_path_with_desk_scale_gates(self):
-        # the default gates are asymptotic and provably out of reach on a
+    def test_tree_move_fires_on_connected_path_with_desk_scale_gates(self, monkeypatch):
+        # the paper's gates are asymptotic and provably out of reach on a
         # connected desk-scale network (any connected subgraph of a metric
         # host has diameter at most twice the anchor weight sum), so this
-        # exercises the tunable thresholds instead
+        # lowers the gates instead
+        monkeypatch.setattr(G, "TREE_GATE", 1)
+        monkeypatch.setattr(G, "STRETCH_GATE", 2)
         inst = clustered_instance()
         net = stretched_path()
-        thresholds = GuidedThresholds(tree_gate=1, hub_radius=52, stretch_gate=2)
-        moves = L.guided_bse_candidates(inst, net, thresholds)
+        moves = L.guided_bse_candidates(inst, net)
         assert len(moves) >= 1
         for move in moves:
             assert L.is_improving(inst, net, move)

@@ -4,6 +4,7 @@ import pytest
 
 import ncglab as L
 import ncglab.harness as H
+import ncglab.properties as P
 from ncglab.errors import BoundViolation, InstanceTooLarge
 from ncglab.optimum import OptResult
 from ncglab.properties import property_suite, shrink_counterexample
@@ -126,15 +127,16 @@ class TestPoaPoint:
         # optimum, so a stubbed optimum drives the branch
         inst = unit_instance(3, 1)
         zero = OptResult(network=L.Network.complete(3), cost=F(0), proven=True)
-        monkeypatch.setattr(H, "brute_force_opt", lambda *a, **k: zero)
+        monkeypatch.setattr(H, "social_optimum", lambda *a, **k: zero)
         assert L.is_inf(L.poa_point(inst, "ps").ratio)
         cfg = L.SweepConfig(family="random", concept="ps", n_values=(3,), alphas=(F(1),))
         with pytest.raises(BoundViolation, match="exceeds 2"):
             L.poa_sweep(cfg)
 
     def test_sampled_fallback_beyond_enum_limit(self):
-        inst = L.random_instance(7, "tree", 3, F(2))  # beyond the bse limit 6
-        point = L.poa_point(inst, "bse", opt_limit=6)  # heuristic optimum
+        # beyond the bse limit 6 and the exact-optimum limit 7
+        inst = L.random_instance(8, "tree", 3, F(2))
+        point = L.poa_point(inst, "bse")  # heuristic optimum
         assert not point.complete
         assert not point.opt_proven
         if point.stable_found:
@@ -233,34 +235,21 @@ class TestRandomInstances:
             assert L.is_metric(inst.host).is_metric
 
     def test_uniform_model_weights_within_range(self):
-        inst = L.random_instance(6, "uniform", 0, F(1), lo=F(2), hi=F(3))
+        inst = L.random_instance(6, "uniform", 0, F(1))
         for u in range(6):
             for v in range(6):
                 if u != v:
-                    assert F(2) <= inst.host.weights[u][v] <= F(3)
+                    assert F(1) <= inst.host.weights[u][v] <= F(10)
 
 
 class TestPropertySuite:
-    def test_small_run_is_clean_and_deterministic(self):
-        report = property_suite(
-            seed=7,
-            removal_trials=150,
-            tree_trials=40,
-            ratio_trials=15,
-            edge_ratio_trials=15,
-            stable_trials=10,
-            identity_trials=25,
-        )
+    def test_small_run_is_clean_and_deterministic(self, monkeypatch):
+        trials = (150, 40, 15, 15, 10, 25)
+        small = [(prop, t) for (prop, _), t in zip(P.SUITE, trials)]
+        monkeypatch.setattr(P, "SUITE", small)
+        report = property_suite(seed=7)
         assert report.ok, report.render()
-        again = property_suite(
-            seed=7,
-            removal_trials=150,
-            tree_trials=40,
-            ratio_trials=15,
-            edge_ratio_trials=15,
-            stable_trials=10,
-            identity_trials=25,
-        )
+        again = property_suite(seed=7)
         assert report.render() == again.render()
 
     def test_shrinker_finds_minimal_failures(self):

@@ -69,7 +69,7 @@ class TestBruteForce:
 
     def test_node_limit(self):
         with pytest.raises(InstanceTooLarge):
-            L.brute_force_opt(unit_instance(8, 1), node_limit=7)
+            L.brute_force_opt(unit_instance(8, 1))
 
     def test_no_connected_subgraph_beats_it(self):
         rng = random.Random(6)
