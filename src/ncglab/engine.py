@@ -14,7 +14,9 @@ tuple), each source's distance row and its sum, both computed the first
 time they are read, because coalition enumeration revisits the same
 candidate networks many times through different coalitions; per engine,
 the full host's distance rows and their sums, which every dead-agent and
-spend-cap bound reads. Each cost method looks its state up once per call.
+spend-cap bound reads. ``social_after_add`` reuses the cached sums of the
+rows a new edge leaves unchanged. Each cost method looks its state up
+once per call.
 """
 
 from fractions import Fraction
@@ -155,19 +157,34 @@ class CostEngine:
         return [min(a, w + b) for a, b in zip(ru, rv)]
 
     def social_after_add(self, key: tuple, u: int, v: int):
-        """Social cost of the network plus edge {u,v}, via all-pairs relax."""
-        n = self.n
+        """Social cost of the network plus edge {u,v} of weight w.
+
+        A shortest path from x in the new network uses the new edge at
+        most once, as x...u->v or as x...v->u. The first can shorten
+        x's row only if d(x,u) + w < d(x,v): otherwise every path through
+        u->v is no shorter than the old path to v continued the same way.
+        Likewise the second needs d(x,v) + w < d(x,u). The two conditions
+        exclude each other (adding them gives 2w < 0), so a changed row
+        takes one ``min(d, d(x,u) + w + d(v,.))`` pass against v's row, or
+        the mirror pass against u's, and every other row keeps its cached
+        sum. Rows are picked by comparison only, never by subtracting
+        sums, so ``inf`` stays exact: a source that reaches neither
+        endpoint fails both tests and keeps its (infinite) sum.
+        """
         w = self.W[u][v]
         st = self.state(key)
-        rows = [self._row(st, x) for x in range(n)]
-        ru, rv = rows[u], rows[v]
+        ru = self._row(st, u)
+        rv = self._row(st, v)
         dist_part = 0
-        for x in range(n):
-            rx = rows[x]
-            xu = rx[u]
-            xv = rx[v]
-            dist_part += sum(
-                min(rx[y], xu + w + rv[y], xv + w + ru[y]) for y in range(n)
-            )
+        for x in range(self.n):
+            rx = self._row(st, x)
+            via_u = rx[u] + w
+            via_v = rx[v] + w
+            if via_u < rx[v]:
+                dist_part += sum([min(a, via_u + b) for a, b in zip(rx, rv)])
+            elif via_v < rx[u]:
+                dist_part += sum([min(a, via_v + b) for a, b in zip(rx, ru)])
+            else:
+                dist_part += self._sum(st, x)
         edge_part = sum(self.W[a][b] for a, b in key) + w
         return 2 * self.p * edge_part + self.q * dist_part

@@ -146,18 +146,31 @@ def _best_star(inst, engine):
     return best[1]
 
 
-def _local_search(inst, engine, start_key):
-    """Steepest descent over single-edge adds, drops, and swaps."""
-    n = inst.n
-    pairs = _all_pairs(n)
+def _local_search(engine, start_key):
+    """Steepest descent over single-edge adds, drops, and swaps.
+
+    Each step takes the cheapest move, the first in canonical order among
+    ties: adds, then per dropped edge e its drop and its swaps e -> f. A
+    swap's network G - e + f is a subgraph of G + f that pays for one edge
+    less, so ``cost(G - e + f) >= cost(G + f) - 2p * W(e)``, where
+    ``cost(G + f)`` is the add cost this step has already computed (when
+    it is infinite, G - e + f is disconnected too). A swap whose bound is
+    at least the best cost so far is skipped unpriced: it cannot strictly
+    improve on that cost, and the best cost only falls during the step, so
+    the move each step picks, and the result, stay the same.
+    """
+    pairs = _all_pairs(engine.n)
+    two_p = 2 * engine.p
     key = start_key
     cost = engine.social_cost(key)
     while True:
         best_cost, best_key = cost, key
         eset = set(key)
         non_edges = [e for e in pairs if e not in eset]
+        add_costs = []
         for e in non_edges:
             c = engine.social_after_add(key, e[0], e[1])
+            add_costs.append(c)
             if c < best_cost:
                 best_cost, best_key = c, canonical_edges(eset | {e})
         for e in key:
@@ -165,7 +178,10 @@ def _local_search(inst, engine, start_key):
             c = engine.social_cost(smaller)
             if c < best_cost:
                 best_cost, best_key = c, smaller
-            for f in non_edges:
+            dropped = two_p * engine.W[e[0]][e[1]]
+            for f, add_cost in zip(non_edges, add_costs):
+                if add_cost - dropped >= best_cost:
+                    continue
                 c2 = engine.social_after_add(smaller, f[0], f[1])
                 if c2 < best_cost:
                     best_cost, best_key = c2, canonical_edges((eset - {e}) | {f})
@@ -197,7 +213,7 @@ def heuristic_opt(inst: Instance, seed: int = 0, engine=None):
     starts += [_random_spanning_tree(inst.n, rng) for _ in range(HEURISTIC_RESTARTS)]
     best_cost, best_key = None, None
     for start in starts:
-        cost, key = _local_search(inst, engine, start)
+        cost, key = _local_search(engine, start)
         if best_cost is None or cost < best_cost or (cost == best_cost and key < best_key):
             best_cost, best_key = cost, key
     return OptResult(

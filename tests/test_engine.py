@@ -1,0 +1,56 @@
+"""The engine's one-edge-add kernels against pricing the bigger network afresh."""
+
+import random
+from fractions import Fraction as F
+
+import ncglab as L
+from ncglab.engine import CostEngine, canonical_edges
+from ncglab.scalars import is_inf
+
+ALPHAS = (F(1, 4), F(1), F(2), F(7))
+
+
+def all_pairs(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def instances():
+    for n in range(2, 9):
+        for model in L.MODELS:
+            for k, alpha in enumerate(ALPHAS):
+                yield L.random_instance(n, model, 10 * n + k, alpha)
+    for n in range(3, 9):
+        for alpha in ALPHAS:
+            yield L.generate("zero_cluster", n, alpha).instance
+
+
+def keys(n, rng):
+    """Seeded edge sets from empty to complete, many of them disconnected."""
+    pairs = all_pairs(n)
+    yield ()
+    for density in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        yield canonical_edges(e for e in pairs if rng.random() < density)
+    yield canonical_edges(pairs[:-1])  # complete but for one pair
+    yield canonical_edges(pairs)  # complete: no pair left to add
+
+
+class TestAddKernels:
+    def test_match_the_network_with_the_edge(self):
+        rng = random.Random(8)
+        checked = disconnected = zero_links = 0
+        for inst in instances():
+            engine = CostEngine(inst)
+            zero_links += any(engine.W[u][v] == 0 for u, v in all_pairs(inst.n))
+            for key in keys(inst.n, rng):
+                disconnected += is_inf(engine.social_cost(key))
+                for u, v in all_pairs(inst.n):
+                    if (u, v) in key:
+                        continue
+                    bigger = canonical_edges(key + ((u, v),))
+                    assert engine.social_after_add(key, u, v) == engine.social_cost(bigger)
+                    assert engine.row_after_add(key, u, v) == engine.row(bigger, u)
+                    assert engine.row_after_add(key, v, u) == engine.row(bigger, v)
+                    checked += 1
+        assert checked > 7_000
+        assert disconnected > 400
+        assert zero_links >= 24

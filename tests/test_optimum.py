@@ -5,7 +5,16 @@ import pytest
 
 import ncglab as L
 from ncglab.errors import BoundViolation, InstanceTooLarge, NotProvenOptimal
-from ncglab.optimum import OptResult, connected_subgraphs
+from ncglab.engine import CostEngine
+from ncglab.optimum import (
+    HEURISTIC_RESTARTS,
+    OptResult,
+    _best_star,
+    _local_search,
+    _minimum_spanning_tree,
+    _random_spanning_tree,
+    connected_subgraphs,
+)
 from ncglab.randomgen import MODELS
 
 
@@ -190,6 +199,92 @@ class TestHeuristic:
             if heur.cost == exact.cost:
                 matches += 1
         assert matches >= 0.9 * trials
+
+    def test_pinned_n10_results(self):
+        # the bench's n=10 base instances, beyond any brute-force oracle;
+        # pinned so that a change to the search's pruning shows
+        pinned = {
+            ("uniform", 0): (
+                ((0, 1), (0, 7), (1, 3), (1, 4), (2, 7), (4, 6), (5, 7), (6, 8), (6, 9), (7, 9)),
+                F(3949, 8),
+            ),
+            ("uniform", 1): (
+                ((0, 7), (1, 5), (1, 7), (1, 8), (2, 7), (3, 7), (4, 8), (6, 7), (7, 8), (7, 9)),
+                F(14925, 32),
+            ),
+            ("euclidean", 0): (
+                (
+                    (0, 4), (0, 5), (0, 7), (1, 5), (1, 7), (2, 4),
+                    (3, 4), (3, 9), (5, 7), (6, 9), (7, 9), (8, 9),
+                ),
+                F(2916),
+            ),
+            ("euclidean", 1): (
+                (
+                    (0, 3), (0, 5), (1, 4), (1, 7), (1, 9), (2, 5),
+                    (2, 6), (2, 8), (2, 9), (3, 4), (4, 9),
+                ),
+                F(2590),
+            ),
+            ("tree", 0): (
+                ((0, 1), (0, 2), (0, 3), (1, 9), (2, 5), (3, 4), (4, 7), (5, 6), (5, 8)),
+                F(1760),
+            ),
+            ("tree", 1): (
+                ((0, 1), (0, 3), (0, 6), (0, 7), (1, 2), (2, 4), (3, 5), (5, 8), (8, 9)),
+                F(1914),
+            ),
+        }
+        for (model, seed), (edges, cost) in pinned.items():
+            opt = L.heuristic_opt(L.random_instance(10, model, seed, 2))
+            assert (opt.network.edges, opt.cost) == (edges, cost), (model, seed)
+
+
+def reference_descent(engine, start_key):
+    """``_local_search`` without the swap bound: every candidate network is
+    built as an explicit edge tuple and priced by ``social_cost``, in the
+    same canonical order (adds, then per edge its drop and its swaps)."""
+    key = start_key
+    cost = engine.social_cost(key)
+    while True:
+        non_edges = [e for e in all_pairs(engine.n) if e not in key]
+        moves = [tuple(sorted(key + (f,))) for f in non_edges]
+        for e in key:
+            smaller = tuple(x for x in key if x != e)
+            moves.append(smaller)
+            moves += [tuple(sorted(smaller + (f,))) for f in non_edges]
+        best_cost, best_key = cost, key
+        for move in moves:
+            c = engine.social_cost(move)
+            if c < best_cost:
+                best_cost, best_key = c, move
+        if best_cost >= cost:
+            return cost, key
+        cost, key = best_cost, best_key
+
+
+class TestLocalSearch:
+    def test_swap_bound_keeps_every_descent(self):
+        instances = [
+            L.random_instance(n, model, seed, alpha)
+            for n in range(3, 8)
+            for model in MODELS
+            for seed in (0, 1)
+            for alpha in (F(1, 4), F(2), F(7))
+        ]
+        instances += [
+            L.generate("zero_cluster", n, alpha).instance
+            for n in range(4, 8)
+            for alpha in (F(1, 4), F(2), F(7))
+        ]
+        for inst in instances:
+            engine = CostEngine(inst)
+            rng = random.Random(0)
+            starts = [_minimum_spanning_tree(inst), _best_star(inst, engine)]
+            starts += [_random_spanning_tree(inst.n, rng) for _ in range(HEURISTIC_RESTARTS)]
+            reference = CostEngine(inst)
+            for start in starts:
+                assert _local_search(engine, start) == reference_descent(reference, start)
 
 
 class TestOptSpannerCheck:
