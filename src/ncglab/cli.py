@@ -11,10 +11,11 @@ import sys
 from . import dynamics as dyn
 from . import fixtures as fx
 from . import harness, properties, serialize
+from .engine import CostEngine
 from .errors import BoundViolation, LabInputError
 from .optimum import brute_force_opt, social_optimum
 from .scalars import format_rational, parse_rational
-from .stability import CONCEPTS, INCONCLUSIVE, UNSTABLE, Budget, check
+from .stability import CONCEPTS, INCONCLUSIVE, UNSTABLE, Budget, check, move_deltas
 
 EXIT_OK = 0
 EXIT_UNSTABLE = 1
@@ -61,14 +62,17 @@ def _load_instance(args):
 def cmd_check(args):
     inst = _load_instance(args)
     net = serialize.network_from_json(_read(args.network, "network"), inst.n)
-    verdict = check(inst, net, args.concept, budget=_budget_from_args(args))
+    engine = CostEngine(inst)
+    budget = _budget_from_args(args)
+    verdict = check(inst, net, args.concept, budget=budget, engine=engine)
     if verdict.stable:
         print(f"stable: no improving {args.concept} move exists")
         return EXIT_OK
     if verdict.inconclusive:
         print(f"inconclusive: {verdict.frontier}")
         return EXIT_INCONCLUSIVE
-    text = serialize.witness_to_json(verdict)
+    deltas = move_deltas(inst, net, verdict.witness, engine)
+    text = serialize.witness_to_json(verdict.witness, deltas)
     if args.witness_out:
         _write_out(text, args.witness_out)
     print("unstable: witness follows")

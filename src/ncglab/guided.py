@@ -26,7 +26,7 @@ from fractions import Fraction
 from .engine import CostEngine
 from .errors import AlphaTooSmall, HostNotMetric
 from .model import Instance, Network, is_metric, shortest_distances
-from .scalars import cmp_k_sqrt_alpha, cmp_sqrt_alpha_times, floor_div_sqrt
+from .scalars import cmp_k_sqrt_alpha, floor_div_sqrt
 from .stability import BSE, Move, is_improving
 
 # Multipliers on sqrt(alpha) in the move-emission gates, read at call time.
@@ -58,7 +58,7 @@ def _partition(inst: Instance, dist) -> GuidedPartition:
     for u in range(n):
         if n * w[u][anchor] <= 2 * total:
             near.append(u)
-        elif cmp_sqrt_alpha_times(w[u][anchor], alpha, 2, total) > 0:
+        elif cmp_k_sqrt_alpha(2 * total, 1, alpha, w[u][anchor]) < 0:
             far.append(u)
         else:
             mid.append(u)

@@ -255,6 +255,8 @@ class SweepConfig:
             raise LabInputError(f"unknown family {self.family!r}")
         if self.concept not in CONCEPTS:
             raise LabInputError(f"unknown concept {self.concept!r}; know {CONCEPTS}")
+        if self.count < 1:
+            raise LabInputError(f"count must be at least 1, got {self.count}")
 
 
 @dataclass(frozen=True)

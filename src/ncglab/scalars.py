@@ -94,14 +94,3 @@ def cmp_k_sqrt_alpha(x, k: int, alpha: Fraction, y):
     if lhs > rhs:
         return 1
     return 0
-
-
-def cmp_sqrt_alpha_times(w, alpha: Fraction, c: int, y):
-    """Sign of ``sqrt(alpha)*w - c*y`` for w, y >= 0."""
-    lhs = alpha * Fraction(w) ** 2
-    rhs = c * c * Fraction(y) ** 2
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0

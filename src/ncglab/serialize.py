@@ -15,7 +15,7 @@ from .fixtures import Fixture
 from .harness import SweepConfig
 from .model import Instance, Network, is_metric, validate_host
 from .scalars import format_rational, parse_rational
-from .stability import CONCEPTS, Budget, Move, Verdict
+from .stability import CONCEPTS, Budget, Move
 
 INSTANCE_VERSION = 1
 
@@ -46,6 +46,25 @@ def _rational(obj, what):
         return parse_rational(obj)
     except ValueError as exc:
         raise LabInputError(f"bad rational in {what}: {obj!r}") from exc
+
+
+def _int(obj, what):
+    if type(obj) is not int:  # int() would truncate a float and accept a bool
+        raise LabInputError(f"{what} must be a JSON integer: {obj!r}")
+    return obj
+
+
+def _list(obj, what):
+    if not isinstance(obj, list):  # a string would be iterated per character
+        raise LabInputError(f"{what} must be a JSON list: {obj!r}")
+    return obj
+
+
+def _edge(pair):
+    """One edge of a network or witness file: a list of two node ids."""
+    if len(_list(pair, "edge")) != 2:
+        raise LabInputError(f"edge must be a pair of node ids: {pair!r}")
+    return _int(pair[0], "node id"), _int(pair[1], "node id")
 
 
 # -- instances ---------------------------------------------------------------
@@ -92,16 +111,14 @@ def network_from_json(text: str, n: int) -> Network:
 
 
 def _network(data, n) -> Network:
-    edges = data.get("edges")
-    if not isinstance(edges, list):
-        raise LabInputError("network file needs an 'edges' list")
-    return Network.from_pairs(n, ((int(u), int(v)) for u, v in edges))
+    edges = _list(data.get("edges"), "network 'edges'")
+    return Network.from_pairs(n, (_edge(e) for e in edges))
 
 
 # -- witnesses ------------------------------------------------------------------
 
-def witness_to_json(verdict: Verdict) -> str:
-    move = verdict.witness
+def witness_to_json(move: Move, deltas) -> str:
+    """A witness file: the move and its ``stability.move_deltas``."""
     return _dump(
         {
             "concept": move.concept.upper(),
@@ -109,7 +126,7 @@ def witness_to_json(verdict: Verdict) -> str:
             "remove": [[u, v] for u, v in move.removals],
             "add": [[u, v] for u, v in move.additions],
             "deltas": {
-                str(node): format_rational(delta) for node, delta in verdict.deltas
+                str(node): format_rational(delta) for node, delta in deltas
             },
         }
     )
@@ -122,9 +139,9 @@ def witness_from_json(text: str) -> Move:
 def _witness(data) -> Move:
     concept = str(data.get("concept", "")).lower()
     return Move.make(
-        coalition=tuple(int(u) for u in data.get("coalition", ())),
-        removals=tuple((int(u), int(v)) for u, v in data.get("remove", ())),
-        additions=tuple((int(u), int(v)) for u, v in data.get("add", ())),
+        coalition=tuple(_int(u, "node id") for u in data.get("coalition", ())),
+        removals=tuple(_edge(e) for e in data.get("remove", ())),
+        additions=tuple(_edge(e) for e in data.get("add", ())),
         concept=concept,
     )
 
@@ -221,11 +238,11 @@ def _sweep_config(data) -> SweepConfig:
     return SweepConfig(
         family=data["family"],
         concept=str(data["concept"]).lower(),
-        n_values=tuple(int(n) for n in data["n_values"]),
-        alphas=tuple(_rational(a, "alphas") for a in data["alphas"]),
+        n_values=tuple(_int(n, "n") for n in _list(data["n_values"], "n_values")),
+        alphas=tuple(_rational(a, "alphas") for a in _list(data["alphas"], "alphas")),
         model=data.get("model", "uniform"),
-        count=int(data.get("count", 1)),
-        seed=int(data.get("seed", 0)),
+        count=_int(data.get("count", 1), "count"),
+        seed=_int(data.get("seed", 0), "seed"),
         variant=(data.get("variant") or None) and str(data.get("variant")).lower(),
         budget=budget,
     )

@@ -39,13 +39,13 @@ Witnesses are deterministic: the first improving move in the documented
 canonical enumeration order (for ps this is the lexicographically smallest
 violating move).
 
-Per-agent setup for these prunes (current cost, distance sum, liveness,
-spend cap) is lazy: ps prepares agent u before its removals and a partner
-v only when the pair check reaches it, while bne and bse prepare every
-agent up front. An agent's setup depends only on the network, so it is
-the same whenever it runs, and it evaluates no move. Verdicts, witnesses
-and ``moves_evaluated`` are therefore those of eager setup, while the
-many networks refuted by an early ps move skip most distance rows.
+Per-agent setup for these prunes (current cost, distance sum, spend cap)
+is lazy: ps prepares agent u before its removals and a partner v only when
+the pair check reaches it, while bne and bse prepare every agent up front.
+An agent's setup depends only on the network, so it is the same whenever
+it runs, and it evaluates no move. Verdicts, witnesses and
+``moves_evaluated`` are therefore those of eager setup, while the many
+networks refuted by an early ps move skip most distance rows.
 """
 
 from dataclasses import dataclass, fields
@@ -123,7 +123,6 @@ _UNLIMITED = Budget()  # shared by unbudgeted searches, validated once
 class Verdict:
     status: str
     witness: Move = None
-    deltas: tuple = None  # ((member, cost delta), ...) for the witness
     moves_evaluated: int = 0
     frontier: str = None  # what was left unexplored when inconclusive
 
@@ -160,22 +159,23 @@ def apply_move(net: Network, move: Move) -> Network:
     return Network(n=net.n, edges=canonical_edges(edges))
 
 
+def _cost_delta(engine, old, new):
+    """Exact ``new - old`` of two scaled costs: inf if new is, else -inf if old is."""
+    if is_inf(new):
+        return INF
+    if is_inf(old):
+        return -INF
+    return engine.to_cost(new - old)
+
+
 def move_deltas(inst: Instance, net: Network, move: Move, engine: CostEngine = None):
     """Exact per-member cost deltas (after minus before) of applying a move."""
     engine = engine or CostEngine(inst)
-    before = net.edges
     after = apply_move(net, move).edges
     out = []
     for m in move.coalition:
-        old = engine.member_cost(before, m)
-        new = engine.member_cost(after, m)
-        if is_inf(new):
-            delta = INF
-        elif is_inf(old):
-            delta = -INF
-        else:
-            delta = engine.to_cost(new - old)
-        out.append((m, delta))
+        old = engine.member_cost(net.edges, m)
+        out.append((m, _cost_delta(engine, old, engine.member_cost(after, m))))
     return tuple(out)
 
 
@@ -196,18 +196,16 @@ class _BudgetStop(Exception):
 class _Search:
     """Shared state for one checker invocation over one network.
 
-    ``base``, ``base_dist``, ``alive`` and ``spend_cap`` hold None for an
-    agent until ``_prepare`` fills them, which each move generator does
-    before its first read. Preparing depends only on the network and
-    counts no move, so witnesses and ``moves_evaluated`` match eager
-    setup (see the module docstring).
+    ``base``, ``base_dist`` and ``spend_cap`` hold None for an agent until
+    ``_prepare`` fills them, which each move generator does before its
+    first read. Preparing depends only on the network and counts no move,
+    so witnesses and ``moves_evaluated`` match eager setup (see the module
+    docstring).
     """
 
     def __init__(self, inst, net, budget=None, engine=None):
         if net.n != inst.n:
             raise ValueError("network and instance disagree on node count")
-        self.inst = inst
-        self.net = net
         self.engine = engine or CostEngine(inst)
         self.budget = budget or _UNLIMITED
         self.gkey = net.edges
@@ -217,33 +215,30 @@ class _Search:
         self.rem_inc = [sum(w for _, w in adj[u]) for u in range(n)]
         self.base = [None] * n
         self.base_dist = [None] * n
-        self.alive = [None] * n
         self.spend_cap = [None] * n
         self.evaluated = 0
         self.budget_skipped = False
         self.frontier = None
 
     def _prepare(self, u):
-        """Fill agent u's base cost, distance sum, liveness and spend cap."""
+        """Fill agent u's base cost, distance sum and spend cap."""
         if self.base[u] is not None:
             return
         eng = self.engine
         d_g = eng.dist_sum(self.gkey, u)
         self.base[u] = eng.p * self.rem_inc[u] + eng.q * d_g
         self.base_dist[u] = d_g
-        # dead agents can never strictly improve anywhere (see module doc)
-        self.alive[u] = eng.q * eng.host_dist_sum(u) < self.base[u]
-        # spend_cap[u]: strict upper bound on what u can pay for additions in
-        # any improving move (edge savings plus distance slack down to the
-        # full-host floor, infinite while u is disconnected); an added edge
-        # neither endpoint can afford can be filtered out before subset
-        # enumeration
+        # spend_cap[u] is base[u] less the universal lower bound: u is dead
+        # (see module doc) iff it is <= 0, and it strictly bounds what u can
+        # pay for additions in any improving move (infinite while u is
+        # disconnected), so an added edge neither endpoint can afford is
+        # filtered out before subset enumeration
         self.spend_cap[u] = eng.p * self.rem_inc[u] + eng.q * (
             d_g - eng.host_dist_sum(u)
         )
 
     def _prepare_all(self):
-        for u in range(self.inst.n):
+        for u in range(self.engine.n):
             self._prepare(u)
 
     def _affordable(self, u, v):
@@ -283,20 +278,17 @@ class _Search:
     def _bound_allows(self, bound):
         return bound is not None and bound > 0
 
-    def _deltas_for(self, move):
-        return move_deltas(self.inst, self.net, move, self.engine)
-
     # -- pairwise stability -------------------------------------------------
 
     def ps_moves(self):
         eng = self.engine
         eset = self.eset
-        n = self.inst.n
+        n = eng.n
         for u in range(n):
             self._prepare(u)
-            if not self.alive[u]:
-                continue  # neither u's removals nor its pairs can improve
-            incident = sorted(e for e in self.net.edges if u in e)
+            if self.spend_cap[u] <= 0:
+                continue  # dead: neither u's removals nor its pairs can improve
+            incident = sorted(e for e in self.gkey if u in e)
             for e in incident:
                 self._count_eval()
                 new_key = canonical_edges(eset - {e})
@@ -306,7 +298,7 @@ class _Search:
                 if (u, v) in eset:
                     continue
                 self._prepare(v)
-                if not (self.alive[v] and self._affordable(u, v)):
+                if not (self.spend_cap[v] > 0 and self._affordable(u, v)):
                     continue
                 self._count_eval()
                 w = eng.W[u][v]
@@ -325,17 +317,17 @@ class _Search:
 
     def bne_moves(self):
         eset = self.eset
-        n = self.inst.n
+        n = self.engine.n
         self._prepare_all()
         for u in range(n):
-            if not self.alive[u]:
+            if self.spend_cap[u] <= 0:
                 continue
             addable = sorted(
                 _pair((u, v))
                 for v in range(n)
                 if v != u
                 and _pair((u, v)) not in eset
-                and self.alive[v]
+                and self.spend_cap[v] > 0
                 and self._affordable(u, v)
             )
             yield from self._joint_moves((u,), addable, BNE, f"agent {u}")
@@ -343,7 +335,7 @@ class _Search:
     def bse_moves(self):
         eset = self.eset
         self._prepare_all()
-        candidates = [u for u in range(self.inst.n) if self.alive[u]]
+        candidates = [u for u in range(self.engine.n) if self.spend_cap[u] > 0]
         cap_size = self.budget.max_coalition
         if cap_size is not None and cap_size < len(candidates):
             self._note_skip(f"coalitions larger than {cap_size} unexplored")
@@ -371,7 +363,7 @@ class _Search:
         cap = self.budget.max_changes
         bit = {m: 1 << i for i, m in enumerate(movers)}
         full_cov = (1 << len(movers)) - 1
-        removable = sorted(e for e in self.net.edges if e[0] in bit or e[1] in bit)
+        removable = sorted(e for e in self.gkey if e[0] in bit or e[1] in bit)
         if cap is not None and len(removable) + len(addable) > cap:
             self._note_skip(f"{who}: moves beyond {cap} changes")
         rem_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in removable]
@@ -440,7 +432,6 @@ def _run_checker(inst, net, concept, budget=None, engine=None):
         return Verdict(
             status=UNSTABLE,
             witness=move,
-            deltas=search._deltas_for(move),
             moves_evaluated=search.evaluated,
         )
     if search.budget_skipped:
@@ -487,12 +478,7 @@ def best_single_removal(inst: Instance, net: Network, u: int, engine=None):
     best = None
     for e in incident:
         new = engine.member_cost(canonical_edges(eset - {e}), u)
-        if is_inf(new):
-            delta = INF
-        elif is_inf(base):
-            delta = -INF
-        else:
-            delta = engine.to_cost(new - base)
+        delta = _cost_delta(engine, base, new)
         if best is None or delta < best[1]:
             best = (e, delta)
     return best

@@ -101,6 +101,55 @@ class TestCheck:
             assert main(["check", *files, *bad]) == 3, bad
 
 
+def _host(rows):
+    return L.validate_host([[F(x) for x in row] for row in rows])
+
+
+# the three unstable cases of test_stability.py and the exact witness
+# files that `check --witness-out` writes for them
+_PINNED_WITNESSES = {
+    "ps-triangle": (
+        _host([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+        3,
+        [(0, 1), (0, 2), (1, 2)],
+        "ps",
+        {"add": [], "coalition": [0], "concept": "PS", "deltas": {"0": "-2"},
+         "remove": [[0, 1]]},
+    ),
+    "bne-cheap-hub": (
+        _host([[0, 1, 10], [1, 0, 1], [10, 1, 0]]),
+        1,
+        [(0, 2), (1, 2)],
+        "bne",
+        {"add": [[0, 1]], "coalition": [0, 1], "concept": "BNE",
+         "deltas": {"0": "-17", "1": "-9"}, "remove": []},
+    ),
+    "bse-n4-regression": (
+        _host([[0, 3, 0, 4], [3, 0, 3, "7/2"], [0, 3, 0, 9], [4, "7/2", 9, 0]]),
+        F(9, 2),
+        [(0, 1), (0, 2), (2, 3)],
+        "bse",
+        {"add": [[0, 3], [1, 2]], "coalition": [0, 1, 2, 3], "concept": "BSE",
+         "deltas": {"0": "-1/2", "1": "-5", "2": "-32", "3": "-75/2"},
+         "remove": [[0, 1], [2, 3]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_WITNESSES))
+def test_witness_bytes_are_pinned(tmp_path, capsys, name):
+    host, alpha, edges, concept, witness = _PINNED_WITNESSES[name]
+    inst, net = tmp_path / "instance.json", tmp_path / "network.json"
+    inst.write_text(S.instance_to_json(L.Instance(host=host, alpha=F(alpha))))
+    net.write_text(S.network_to_json(L.Network.from_pairs(host.n, edges)))
+    out = tmp_path / "witness.json"
+    rc = main(["check", str(inst), str(net), "--concept", concept, "--witness-out", str(out)])
+    expected = json.dumps(witness, sort_keys=True, indent=2) + "\n"
+    assert rc == 1
+    assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == "unstable: witness follows\n" + expected
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -124,10 +173,20 @@ _SWEEP = {"family": "zero_cluster", "concept": "bse", "n_values": [4], "alphas":
     [
         pytest.param("verify-fixture", {}, id="fixture-empty"),
         pytest.param("check", [1, 2], id="instance-list"),
+        pytest.param("check", {"edges": ["01"]}, id="edge-text"),
+        pytest.param("check", {"edges": [[1.7, 2]]}, id="edge-float"),
+        pytest.param("check", {"edges": [[True, 3]]}, id="edge-bool"),
         pytest.param(
             "opt", _FIXTURE["instance"] | {"n": 2, "weights": [1, 2]}, id="weights-flat"
         ),
         pytest.param("sweep", _SWEEP | {"n_values": ["x"]}, id="sweep-n-text"),
+        pytest.param("sweep", _SWEEP | {"n_values": "34"}, id="sweep-n-string"),
+        pytest.param("sweep", _SWEEP | {"n_values": [4.5]}, id="sweep-n-float"),
+        pytest.param("sweep", _SWEEP | {"alphas": "12"}, id="sweep-alphas-string"),
+        pytest.param("sweep", _SWEEP | {"count": 0}, id="sweep-count-zero"),
+        pytest.param("sweep", _SWEEP | {"count": -3}, id="sweep-count-negative"),
+        pytest.param("sweep", _SWEEP | {"count": 2.5}, id="sweep-count-float"),
+        pytest.param("sweep", _SWEEP | {"seed": "7"}, id="sweep-seed-text"),
         pytest.param("sweep", _SWEEP | {"concept": "xx"}, id="sweep-concept"),
         pytest.param("sweep", _SWEEP | {"alphas": ["-1"]}, id="sweep-alpha-negative"),
         pytest.param("sweep", _SWEEP | {"opt_limit": 7}, id="sweep-removed-field"),
@@ -141,7 +200,9 @@ def test_malformed_file_exits_three(workdir, capsys, command, contents):
     path = workdir["dir"] / "malformed.json"
     path.write_text(json.dumps(contents))
     args = [command, str(path)]
-    if command == "check":
+    if command == "check" and "edges" in contents:  # a network file
+        args = [command, str(workdir["instance"]), str(path), "--concept", "ps"]
+    elif command == "check":
         args += [str(workdir["stable"]), "--concept", "ps"]
     assert main(args) == 3
     assert "input error" in capsys.readouterr().err

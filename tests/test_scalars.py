@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ncglab.scalars import (
     INF,
     cmp_k_sqrt_alpha,
-    cmp_sqrt_alpha_times,
     cost_ratio,
     floor_div_sqrt,
     format_rational,
@@ -72,5 +71,6 @@ def test_sqrt_comparisons_exact_at_ties():
     # x = 2*sqrt(9)*y exactly, no tolerance involved
     assert cmp_k_sqrt_alpha(Fraction(6), 2, Fraction(9), Fraction(1)) == 0
     assert cmp_k_sqrt_alpha(INF, 2, Fraction(9), Fraction(1)) == 1
-    assert cmp_sqrt_alpha_times(Fraction(2), Fraction(9), 6, Fraction(1)) == 0
-    assert cmp_sqrt_alpha_times(Fraction(3), Fraction(4), 5, Fraction(1)) == 1
+    # sqrt(9)*2 = 6*1 exactly, and sqrt(4)*3 exceeds 5*1
+    assert cmp_k_sqrt_alpha(Fraction(6), 1, Fraction(9), Fraction(2)) == 0
+    assert cmp_k_sqrt_alpha(Fraction(5), 1, Fraction(4), Fraction(3)) == -1

@@ -84,8 +84,10 @@ class TestWitnessFiles:
         inst = L.Instance(
             host=L.validate_host([[F(0), F(1)], [F(1), F(0)]]), alpha=F(1)
         )
-        verdict = L.is_pairwise_stable(inst, L.Network.empty(2))
-        text = S.witness_to_json(verdict)
+        net = L.Network.empty(2)
+        verdict = L.is_pairwise_stable(inst, net)
+        deltas = L.move_deltas(inst, net, verdict.witness)
+        text = S.witness_to_json(verdict.witness, deltas)
         data = json.loads(text)
         assert data["concept"] == "PS"
         assert data["coalition"] == [0, 1]
@@ -94,13 +96,29 @@ class TestWitnessFiles:
         move = S.witness_from_json(text)
         assert move == verdict.witness
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coalition", [0.5]),
+            ("coalition", "01"),
+            ("remove", ["01"]),
+            ("add", [[1.7, 2]]),
+            ("add", [[True, 3]]),
+            ("add", [[0, 1, 2]]),
+        ],
+    )
+    def test_rejects_non_integer_node_ids(self, field, value):
+        with pytest.raises(LabInputError):
+            S.witness_from_json(json.dumps({"concept": "BSE", field: value}))
+
     def test_finite_deltas_serialized_exactly(self):
         fx = L.gen_general_bse(4, F(2))
         broken = L.Network.from_pairs(4, list(fx.stable_net.edges) + [(1, 3)])
         verdict = L.is_bse(fx.instance, broken)
         assert verdict.unstable
-        data = json.loads(S.witness_to_json(verdict))
-        for node, delta in verdict.deltas:
+        deltas = L.move_deltas(fx.instance, broken, verdict.witness)
+        data = json.loads(S.witness_to_json(verdict.witness, deltas))
+        for node, delta in deltas:
             assert data["deltas"][str(node)] == L.format_rational(delta)
 
 

@@ -30,13 +30,16 @@ def test_tracer_counts_an_enumeration_and_uninstalls():
     inst = L.random_instance(4, "tree", 0, F(2))
     with tracer.installed(), tracer.root("enumerate_stable"):
         result = L.enumerate_stable(inst, "bse")
+        # verdicts carry no deltas: an enumeration prices no witness
+        assert tracer.metrics()["stability.move_deltas.calls"] == 0
+        L.move_deltas(inst, L.Network.complete(inst.n), L.Move.make((0,), [(0, 1)]))
     assert L.enumerate_stable is original
     metrics = tracer.metrics()
     assert metrics["engine.dijkstra.calls"] > 0
     assert metrics["stability.check.calls"] > 0
     assert metrics["engine.cache.states_max"] > 0
     assert metrics["stability.search_setup.calls"] > 0
-    assert metrics["stability.move_deltas.calls"] > 0
+    assert metrics["stability.move_deltas.calls"] == 1
     assert metrics["harness.candidates"] == result.checked
 
 
