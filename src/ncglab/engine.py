@@ -15,8 +15,8 @@ time they are read, because coalition enumeration revisits the same
 candidate networks many times through different coalitions; per engine,
 the full host's distance rows and their sums, which every dead-agent and
 spend-cap bound reads. ``social_after_add`` reuses the cached sums of the
-rows a new edge leaves unchanged. Each cost method looks its state up
-once per call.
+rows a new edge leaves unchanged, which ``rows_after_add`` returns as the
+same objects. Each cost method looks its state up once per call.
 """
 
 from fractions import Fraction
@@ -156,8 +156,9 @@ class CostEngine:
         w = self.W[u][v]
         return [min(a, w + b) for a, b in zip(ru, rv)]
 
-    def social_after_add(self, key: tuple, u: int, v: int):
-        """Social cost of the network plus edge {u,v} of weight w.
+    def rows_after_add(self, rows, u, v):
+        """All distance rows after adding edge {u,v} of weight w, from the
+        exact rows before it (ints or ``inf``).
 
         A shortest path from x in the new network uses the new edge at
         most once, as x...u->v or as x...v->u. The first can shorten
@@ -165,26 +166,35 @@ class CostEngine:
         u->v is no shorter than the old path to v continued the same way.
         Likewise the second needs d(x,v) + w < d(x,u). The two conditions
         exclude each other (adding them gives 2w < 0), so a changed row
-        takes one ``min(d, d(x,u) + w + d(v,.))`` pass against v's row, or
-        the mirror pass against u's, and every other row keeps its cached
-        sum. Rows are picked by comparison only, never by subtracting
-        sums, so ``inf`` stays exact: a source that reaches neither
-        endpoint fails both tests and keeps its (infinite) sum.
+        takes one ``min(d, d(x,u) + w + d(v,.))`` pass against v's old
+        row, or the mirror pass against u's. Every other row is returned
+        as the same list object, unchanged and uncopied, so callers can
+        tell the changed rows by identity. Rows are picked by comparison
+        only, so ``inf`` stays exact: a source that reaches neither
+        endpoint fails both tests.
         """
         w = self.W[u][v]
-        st = self.state(key)
-        ru = self._row(st, u)
-        rv = self._row(st, v)
-        dist_part = 0
-        for x in range(self.n):
-            rx = self._row(st, x)
+        ru = rows[u]
+        rv = rows[v]
+        out = []
+        for rx in rows:
             via_u = rx[u] + w
-            via_v = rx[v] + w
             if via_u < rx[v]:
-                dist_part += sum([min(a, via_u + b) for a, b in zip(rx, rv)])
-            elif via_v < rx[u]:
-                dist_part += sum([min(a, via_v + b) for a, b in zip(rx, ru)])
+                rx = [a if a <= via_u + b else via_u + b for a, b in zip(rx, rv)]
             else:
-                dist_part += self._sum(st, x)
-        edge_part = sum(self.W[a][b] for a, b in key) + w
+                via_v = rx[v] + w
+                if via_v < rx[u]:
+                    rx = [a if a <= via_v + b else via_v + b for a, b in zip(rx, ru)]
+            out.append(rx)
+        return out
+
+    def social_after_add(self, key: tuple, u: int, v: int):
+        """Social cost of the network plus edge {u,v}, by ``rows_after_add``
+        from the network's rows; each unchanged row keeps its cached sum."""
+        st = self.state(key)
+        rows = [self._row(st, x) for x in range(self.n)]
+        dist_part = 0
+        for x, rx in enumerate(self.rows_after_add(rows, u, v)):
+            dist_part += self._sum(st, x) if rx is rows[x] else sum(rx)
+        edge_part = sum(self.W[a][b] for a, b in key) + self.W[u][v]
         return 2 * self.p * edge_part + self.q * dist_part

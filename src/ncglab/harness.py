@@ -23,7 +23,7 @@ from .optimum import (
 )
 from .randomgen import random_instance
 from .scalars import cost_ratio, format_rational, is_inf
-from .stability import BNE, BSE, CONCEPTS, PS, Budget, check
+from .stability import BNE, BSE, CONCEPTS, PS, Budget, check, ps_prefilter
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
 # Beyond ENUM_LIMITS, the worst stable cost is sampled from this many
@@ -64,35 +64,49 @@ def enumerate_stable(
     semantics a disconnected network can pass the pairwise check when no
     single addition makes anyone finite; such states are excluded here but
     the point checkers still judge them literally when asked directly.)
-    Containment filtering (ps, then bne, then bse) is an optimization;
-    disable it to cross-validate the checkers independently.
+
+    Candidates come from one ``connected_subgraphs`` walk that carries
+    each network's exact distance rows (``stability.ps_prefilter``), so
+    every social cost is read off the walk. Containment filtering is an
+    optimization; disable it to cross-validate the checkers independently.
+    It refutes a candidate by the ps prefilter, which no bne- or
+    bse-stable network fails either, and then runs the checkers ps, bne
+    and bse in turn up to the concept, stopping at the first that does
+    not find the candidate stable. Without it, each candidate goes to the
+    concept's checker alone. ``checked`` counts every candidate visited,
+    refuted or checked.
 
     In worst-only mode candidates are visited in descending cost order and
-    the scan stops at the first stable network, which is then the worst.
-    Otherwise they are streamed from ``connected_subgraphs`` in edge-tuple
-    order, never held in one list, and social costs are computed only for
-    the networks found stable: most candidates fail their first ps move
-    long before all n distance rows are needed.
+    the scan stops at the first stable network, which is then the worst;
+    the sort holds keys and costs, not distance rows. Otherwise they are
+    streamed from the walk in edge-tuple order, never held in one list.
     """
     limit = ENUM_LIMITS[concept]
     if inst.n > limit:
         raise InstanceTooLarge(inst.n, limit, f"{concept} enumeration")
     engine = engine or CostEngine(inst)
     chain = _concept_chain(concept) if use_containment else (concept,)
-    candidates = connected_subgraphs(inst.n)
+    root, step = ps_prefilter(engine)
+    two_p, q = 2 * engine.p, engine.q
+    candidates = (
+        (key, use_containment and refuted, two_p * spend + q * sum(sums))
+        for key, (_, sums, _, spend, refuted) in connected_subgraphs(inst.n, step, root)
+    )
     if worst_only:
-        candidates = sorted(candidates, key=lambda key: (-engine.social_cost(key), key))
+        candidates = sorted(candidates, key=lambda c: (-c[2], c[0]))
     stable = []
     inconclusive = 0
     checked = 0
     worst = None
     worst_cost = None
-    for key in candidates:
-        net = Network(n=inst.n, edges=key)
+    for key, refuted, cost in candidates:
         checked += 1
+        if refuted:
+            continue
+        net = Network(n=inst.n, edges=key)
         verdict = None
-        for step in chain:
-            verdict = check(inst, net, step, budget=budget, engine=engine)
+        for level in chain:
+            verdict = check(inst, net, level, budget=budget, engine=engine)
             if not verdict.stable:
                 break
         if verdict.inconclusive:
@@ -100,7 +114,6 @@ def enumerate_stable(
             continue
         if not verdict.stable:
             continue
-        cost = engine.social_cost(key)
         if worst_only:
             return EnumerationResult(
                 concept=concept,

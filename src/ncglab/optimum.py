@@ -24,31 +24,33 @@ def _all_pairs(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def connected_subgraphs(n, weights=None, within=None):
-    """Edge tuples of every connected spanning subgraph of K_n, in sorted order.
+def connected_subgraphs(n, step=None, root=None):
+    """``(key, state)`` for every connected spanning subgraph of K_n, in
+    sorted order of the edge tuples ``key``.
 
     A depth-first walk over edge subsets: each node extends its parent's
     set by one pair of higher index than the parent's last, so the sets
     come out in the order of their sorted edge tuples, each exactly once.
     Components are tracked as one node bitmask per vertex along the path.
 
-    With ``within``, each node's edge spend (the sum of ``weights``, one
-    per pair of ``_all_pairs(n)``) is passed to it as the node is reached,
-    and a node it rejects is skipped with its whole subtree. That is sound
-    for any predicate that rejects every spend above one it rejects:
-    weights are non-negative, so every superset spends at least as much.
-    The predicate may tighten while the walk runs.
+    Each node carries a state, ``root`` at the empty set. With ``step``, a
+    node's state is ``step(parent_state, j)``, called as the node is
+    reached, where ``j`` indexes the added pair in ``_all_pairs(n)``. A
+    node whose step returns None is skipped with its whole subtree, so a
+    step may return None only where no superset down the branch is
+    wanted. The step may read values that change while the walk runs.
+    Without ``step`` every state is ``root``.
     """
     pairs = _all_pairs(n)
     m = len(pairs)
     full = (1 << n) - 1
-    # (parent's key, components and spend; index of the pair that extends it)
-    stack = [((), [1 << v for v in range(n)], 0, j) for j in range(m - 1, -1, -1)]
+    # (parent's key, components and state; index of the pair that extends it)
+    stack = [((), [1 << v for v in range(n)], root, j) for j in range(m - 1, -1, -1)]
     while stack:
-        key, comp, spend, j = stack.pop()
-        if within is not None:
-            spend += weights[j]
-            if not within(spend):
+        key, comp, state, j = stack.pop()
+        if step is not None:
+            state = step(state, j)
+            if state is None:
                 continue
         u, v = pairs[j]
         key += (pairs[j],)
@@ -56,8 +58,8 @@ def connected_subgraphs(n, weights=None, within=None):
             merged = comp[u] | comp[v]
             comp = [merged if merged >> x & 1 else c for x, c in enumerate(comp)]
         if comp[0] == full:
-            yield key
-        stack.extend((key, comp, spend, k) for k in range(m - 1, j, -1))
+            yield key, state
+        stack.extend((key, comp, state, k) for k in range(m - 1, j, -1))
 
 
 def social_optimum(inst: Instance, seed: int = 0, engine: CostEngine = None):
@@ -97,10 +99,11 @@ def brute_force_opt(inst: Instance, engine: CostEngine = None):
     best_cost = engine.social_cost(best_key)
     two_p = 2 * engine.p
 
-    def within(spend):
-        return two_p * spend + dist_floor <= best_cost
+    def spend_step(spend, j):
+        spend += weights[j]
+        return spend if two_p * spend + dist_floor <= best_cost else None
 
-    for key in connected_subgraphs(n, weights, within):
+    for key, _ in connected_subgraphs(n, spend_step, 0):
         cost = engine.social_cost(key)
         if cost < best_cost or (cost == best_cost and key < best_key):
             best_cost = cost

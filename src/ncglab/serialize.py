@@ -10,7 +10,12 @@ it cannot read into a value, never a bare ``KeyError`` or ``TypeError``.
 import json
 from dataclasses import fields
 
-from .errors import LabInputError
+from .errors import (
+    AdditionOutsideCoalition,
+    LabInputError,
+    MoveError,
+    RemovalOutsideCoalition,
+)
 from .fixtures import Fixture
 from .harness import SweepConfig
 from .model import Instance, Network, is_metric, validate_host
@@ -137,13 +142,27 @@ def witness_from_json(text: str) -> Move:
 
 
 def _witness(data) -> Move:
+    """A move as ``apply_move`` accepts it: a known concept, a non-empty
+    coalition, additions inside it and removals touching it."""
     concept = str(data.get("concept", "")).lower()
-    return Move.make(
+    if concept not in CONCEPTS:
+        raise MoveError(f"unknown witness concept {data.get('concept')!r}")
+    move = Move.make(
         coalition=tuple(_int(u, "node id") for u in data.get("coalition", ())),
         removals=tuple(_edge(e) for e in data.get("remove", ())),
         additions=tuple(_edge(e) for e in data.get("add", ())),
         concept=concept,
     )
+    members = set(move.coalition)
+    if not members:
+        raise MoveError("witness coalition is empty")
+    for a, b in move.additions:
+        if a not in members or b not in members:
+            raise AdditionOutsideCoalition(f"addition {(a, b)} not inside coalition")
+    for a, b in move.removals:
+        if a not in members and b not in members:
+            raise RemovalOutsideCoalition(f"removal {(a, b)} has no endpoint in coalition")
+    return move
 
 
 # -- optimum results ---------------------------------------------------------------

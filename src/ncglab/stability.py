@@ -35,13 +35,23 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
 Pruned moves never count against the move budget and cannot change which
 witness is found first, because only non-improving moves are pruned.
 
+One more sound prune discards whole networks before any search: the ps
+prefilter (``ps_prefilter``) that candidate enumeration runs along its
+walk over connected subgraphs. A network it refutes from its own and its
+parent's distance rows (a pair stretched beyond (p+q)/q = alpha + 1
+times its host weight, or an endpoint of the last added edge that
+strictly gains by deleting it) has an improving ps move. It is then
+neither ps-, bne- nor bse-stable, since both stronger concepts admit
+every ps move, and it is never handed to a checker.
+
 Witnesses are deterministic: the first improving move in the documented
 canonical enumeration order (for ps this is the lexicographically smallest
 violating move).
 
-Per-agent setup for these prunes (current cost, distance sum, spend cap)
-is lazy: ps prepares agent u before its removals and a partner v only when
-the pair check reaches it, while bne and bse prepare every agent up front.
+Per-agent setup for these prunes (incident weight, current cost,
+distance sum, spend cap) is lazy: ps prepares agent u before its removals
+and a partner v only when the pair check reaches it, while bne and bse
+prepare every agent up front.
 An agent's setup depends only on the network, so it is the same whenever
 it runs, and it evaluates no move. Verdicts, witnesses and
 ``moves_evaluated`` are therefore those of eager setup, while the many
@@ -60,6 +70,7 @@ from .errors import (
     RemovalOutsideCoalition,
 )
 from .model import Instance, Network
+from .optimum import _all_pairs
 from .scalars import INF, is_inf
 
 PS = "ps"
@@ -196,11 +207,11 @@ class _BudgetStop(Exception):
 class _Search:
     """Shared state for one checker invocation over one network.
 
-    ``base``, ``base_dist`` and ``spend_cap`` hold None for an agent until
-    ``_prepare`` fills them, which each move generator does before its
-    first read. Preparing depends only on the network and counts no move,
-    so witnesses and ``moves_evaluated`` match eager setup (see the module
-    docstring).
+    ``rem_inc``, ``base``, ``base_dist`` and ``spend_cap`` hold None for
+    an agent until ``_prepare`` fills them, which each move generator does
+    before its first read. Preparing depends only on the network and
+    counts no move, so witnesses and ``moves_evaluated`` match eager setup
+    (see the module docstring).
     """
 
     def __init__(self, inst, net, budget=None, engine=None):
@@ -211,8 +222,7 @@ class _Search:
         self.gkey = net.edges
         self.eset = frozenset(net.edges)
         n = inst.n
-        adj = self.engine.state(self.gkey).adj
-        self.rem_inc = [sum(w for _, w in adj[u]) for u in range(n)]
+        self.rem_inc = [None] * n
         self.base = [None] * n
         self.base_dist = [None] * n
         self.spend_cap = [None] * n
@@ -221,21 +231,20 @@ class _Search:
         self.frontier = None
 
     def _prepare(self, u):
-        """Fill agent u's base cost, distance sum and spend cap."""
+        """Fill agent u's incident weight, base cost, distance sum and spend cap."""
         if self.base[u] is not None:
             return
         eng = self.engine
+        self.rem_inc[u] = inc = sum(w for _, w in eng.state(self.gkey).adj[u])
         d_g = eng.dist_sum(self.gkey, u)
-        self.base[u] = eng.p * self.rem_inc[u] + eng.q * d_g
+        self.base[u] = eng.p * inc + eng.q * d_g
         self.base_dist[u] = d_g
         # spend_cap[u] is base[u] less the universal lower bound: u is dead
         # (see module doc) iff it is <= 0, and it strictly bounds what u can
         # pay for additions in any improving move (infinite while u is
         # disconnected), so an added edge neither endpoint can afford is
         # filtered out before subset enumeration
-        self.spend_cap[u] = eng.p * self.rem_inc[u] + eng.q * (
-            d_g - eng.host_dist_sum(u)
-        )
+        self.spend_cap[u] = eng.p * inc + eng.q * (d_g - eng.host_dist_sum(u))
 
     def _prepare_all(self):
         for u in range(self.engine.n):
@@ -424,6 +433,83 @@ class _Search:
             yield from gen()
         except _BudgetStop:
             return
+
+
+# -- ps refutation along the candidate walk -----------------------------------
+
+
+def ps_prefilter(engine: CostEngine):
+    """Root state and step for an ``optimum.connected_subgraphs`` walk
+    that carries every node's exact distance rows and refutes pairwise
+    stability from them, before any ``_Search`` is built.
+
+    A node's state is ``(rows, sums, stretched, spend, refuted)``: its
+    all-pairs distance rows (ints or ``inf``), their sums, the bitmask of
+    pairs (bit k for the walk's k-th pair) with
+    ``q*d(x,y) > (p+q)*W(x,y)``, its edge spend, and ``_refutes_ps``'s
+    answer for the node. The step adds the node's pair to its parent's
+    rows by ``engine.rows_after_add`` and re-sums only the rows that
+    changed. Distances only fall down the walk, so a pair that meets the
+    stretch bound keeps meeting it: the child's mask is the parent's less
+    the pairs that changed rows bring within the bound. The step never
+    returns None, so the walk still reaches every subset.
+    """
+    n, q, W = engine.n, engine.q, engine.W
+    pairs = _all_pairs(n)
+    # per row x, its pairs (x, y > x): y, the pair's bit and its stretch
+    # limit (p+q)*W(x,y); a distance that falls changes both of its rows,
+    # so looking at each pair from its lower end misses none
+    by_row = [[] for _ in range(n)]
+    for k, (x, y) in enumerate(pairs):
+        by_row[x].append((y, 1 << k, (engine.p + q) * W[x][y]))
+    row_bits = [sum(bit for _, bit, _ in by_row[x]) for x in range(n)]
+    rows = [[0 if y == x else INF for y in range(n)] for x in range(n)]
+    stretched = sum(
+        bit for x in range(n) for y, bit, limit in by_row[x] if q * rows[x][y] > limit
+    )
+    root = (rows, [sum(r) for r in rows], stretched, 0, False)
+
+    def step(parent, j):
+        rows, before, stretched, spend, _ = parent
+        u, v = pairs[j]
+        child = engine.rows_after_add(rows, u, v)
+        after = [s if rx is old else sum(rx) for s, rx, old in zip(before, child, rows)]
+        if stretched:
+            for rx, old, bits, row_pairs in zip(child, rows, row_bits, by_row):
+                if rx is not old and stretched & bits:
+                    for y, bit, limit in row_pairs:
+                        if stretched & bit and not q * rx[y] > limit:
+                            stretched ^= bit
+        refuted = _refutes_ps(engine, u, v, before, after, stretched)
+        return child, after, stretched, spend + W[u][v], refuted
+
+    return root, step
+
+
+def _refutes_ps(engine, u, v, before, after, stretched):
+    """True only if the connected network S, reached by adding edge uv to
+    S - uv, is not pairwise stable: some ps move strictly improves.
+
+    ``before`` and ``after`` are the row sums of S - uv and of S, and
+    ``stretched`` is S's stretch mask (see ``ps_prefilter``). Each test
+    is the checker's own ps condition:
+
+      * stretch: a pair x, y with ``q*d_S(x,y) > (p+q)*W(x,y)`` is not an
+        edge (an edge has d_S <= W), and adding it saves each endpoint at
+        least ``q*(d_S(x,y) - W(x,y)) > p*W(x,y)``, its price;
+      * removal: an endpoint a of uv with
+        ``q*(sum d_{S-uv}(a) - sum d_S(a)) < p*W(u,v)`` strictly gains by
+        deleting uv. Tested only where a's sum before is finite, so
+        ``inf - inf`` never occurs; an a it skips cannot gain, as the
+        removal leaves it disconnected.
+    """
+    if stretched:
+        return True
+    price = engine.p * engine.W[u][v]
+    for a in (u, v):
+        if before[a] < INF and engine.q * (before[a] - after[a]) < price:
+            return True
+    return False
 
 
 def _run_checker(inst, net, concept, budget=None, engine=None):

@@ -1,12 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncglab as L
 import ncglab.harness as H
 import ncglab.properties as P
+import ncglab.stability as S
+from ncglab.engine import CostEngine
 from ncglab.errors import BoundViolation, InstanceTooLarge
-from ncglab.optimum import OptResult
+from ncglab.optimum import OptResult, connected_subgraphs
+from ncglab.randomgen import MODELS
 from ncglab.properties import property_suite, shrink_counterexample
 
 
@@ -95,6 +100,137 @@ class TestEnumerateStable:
         result = L.enumerate_stable(fx.instance, "bse", budget=L.Budget(max_moves=1))
         assert not result.complete
         assert result.inconclusive > 0
+
+
+def with_zero_links(inst, seed):
+    """A copy of inst with about a third of its host links, chosen by the seed, at weight 0."""
+    rng = random.Random(seed)
+    n = inst.n
+    w = [list(row) for row in inst.host.weights]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 1 / 3:
+                w[u][v] = w[v][u] = F(0)
+    return L.Instance(host=L.validate_host(w), alpha=inst.alpha)
+
+
+def summary(result):
+    """What an enumeration reports, but its inconclusive count, as comparable values."""
+    networks = None if result.networks is None else tuple(g.edges for g in result.networks)
+    worst = None if result.worst is None else result.worst.edges
+    return (networks, worst, result.worst_cost, result.checked, result.complete)
+
+
+def prefilter_hosts(n_values):
+    """Random hosts, some with zero-weight links, zero_cluster hosts, and
+    unit-weight hosts at alpha 1, where adding or deleting an edge often
+    ties exactly."""
+    out = []
+    for n in n_values:
+        for model in MODELS:
+            for k, alpha in enumerate((F(1, 2), F(1), F(2), F(5))):
+                inst = L.random_instance(n, model, 7 * n + k, alpha)
+                if k % 2:
+                    inst = with_zero_links(inst, f"{model}:{n}:{k}")
+                out.append(inst)
+        if n < 5:  # bse at n=5 checks hundreds of tied networks: 12 s
+            out.append(unit_instance(n, 1))
+        if n > 2:
+            out.append(L.gen_general_bse(n, F(2)).instance)  # zero_cluster
+    return out
+
+
+class TestPsPrefilter:
+    """The ps prefilter of ``enumerate_stable`` against its own absence."""
+
+    @staticmethod
+    def enumerate_both(monkeypatch, inst, concept, **kwargs):
+        """(prefilter on, prefilter off, refutations made while on)."""
+        refutes = S._refutes_ps
+        refuted = []
+
+        def counting(*args):
+            out = refutes(*args)
+            refuted.append(out)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(S, "_refutes_ps", counting)
+            on = L.enumerate_stable(inst, concept, **kwargs)
+            m.setattr(S, "_refutes_ps", lambda *args: False)
+            off = L.enumerate_stable(inst, concept, **kwargs)
+        return on, off, sum(refuted)
+
+    def test_prefilter_off_changes_no_enumeration(self, monkeypatch):
+        fired = 0
+        for inst in prefilter_hosts(range(2, 6)):
+            for concept in L.CONCEPTS:
+                for worst_only in (False, True):
+                    on, off, refuted = self.enumerate_both(
+                        monkeypatch, inst, concept, worst_only=worst_only
+                    )
+                    assert summary(on) == summary(off)
+                    fired += refuted
+        assert fired > 0
+
+    def test_prefilter_off_changes_no_enumeration_at_n6(self, monkeypatch):
+        # full mode with every concept's chain on a host with zero-weight
+        # links, worst-only mode on zero_cluster and on a unit host at
+        # alpha 1; each enumeration without the prefilter takes seconds
+        cases = [(with_zero_links(L.random_instance(6, "tree", 3, F(2)), "n6"), "bse", False)]
+        cases += [(L.gen_general_bse(6, F(2)).instance, c, True) for c in L.CONCEPTS]
+        cases += [(unit_instance(6, 1), "ps", True)]
+        for inst, concept, worst_only in cases:
+            on, off, refuted = self.enumerate_both(
+                monkeypatch, inst, concept, worst_only=worst_only
+            )
+            assert summary(on) == summary(off)
+            assert refuted > 0
+
+    def test_under_a_budget_only_inconclusive_falls(self, monkeypatch):
+        fell = False
+        for inst in prefilter_hosts((3, 4)):
+            for concept in L.CONCEPTS:
+                for worst_only in (False, True):
+                    on, off, _ = self.enumerate_both(
+                        monkeypatch,
+                        inst,
+                        concept,
+                        worst_only=worst_only,
+                        budget=L.Budget(max_moves=3),
+                    )
+                    assert summary(on)[:4] == summary(off)[:4]
+                    assert on.inconclusive <= off.inconclusive
+                    fell |= on.inconclusive < off.inconclusive
+        assert fell
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 5),
+        weights=st.lists(st.sampled_from((0, 0, 1, 1, 2, 3, 7)), min_size=10, max_size=10),
+        alpha=st.sampled_from((F(1, 3), F(1), F(2), F(4))),
+    )
+    def test_every_refuted_candidate_is_pairwise_unstable(self, n, weights, alpha):
+        w = [[F(0)] * n for _ in range(n)]
+        for k, (u, v) in enumerate((u, v) for u in range(n) for v in range(u + 1, n)):
+            w[u][v] = w[v][u] = F(weights[k])
+        inst = L.Instance(host=L.validate_host(w), alpha=alpha)
+        engine = CostEngine(inst)
+        root, step = S.ps_prefilter(engine)
+        for key, (_, _, _, _, refuted) in connected_subgraphs(n, step, root):
+            if refuted:
+                verdict = L.is_pairwise_stable(inst, L.Network(n=n, edges=key), engine)
+                assert verdict.unstable, key
+
+    def test_checked_counts_every_connected_graph(self):
+        # OEIS A001187, the candidates the walk visits: the prefilter and
+        # any later cut of the walk leave this count alone in full mode
+        for n, count in zip(range(2, 6), (1, 4, 38, 728)):
+            inst = L.random_instance(n, "tree", n, F(2))
+            for concept in L.CONCEPTS:
+                assert L.enumerate_stable(inst, concept).checked == count
+        inst = L.random_instance(6, "tree", 3, F(2))
+        assert L.enumerate_stable(inst, "ps").checked == 26_704
 
 
 class TestPoaPoint:

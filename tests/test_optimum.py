@@ -16,6 +16,7 @@ from ncglab.optimum import (
     connected_subgraphs,
 )
 from ncglab.randomgen import MODELS
+from ncglab.stability import ps_prefilter
 
 
 def unit_instance(n, alpha):
@@ -129,11 +130,15 @@ class TestBruteForce:
             assert opt.proven
 
 
+def walked_keys(n, step=None, root=None):
+    return [key for key, _ in connected_subgraphs(n, step, root)]
+
+
 class TestConnectedSubgraphs:
     def test_yields_every_connected_labelled_graph_once(self):
         # OEIS A001187: connected labelled graphs on n nodes
         for n, count in zip(range(2, 7), (1, 4, 38, 728, 26704)):
-            sets = list(connected_subgraphs(n))
+            sets = walked_keys(n)
             assert len(sets) == count
             assert len(set(sets)) == count
             assert all(is_connected(n, key) for key in sets)
@@ -141,7 +146,7 @@ class TestConnectedSubgraphs:
     def test_order_is_sorted_edge_tuples(self):
         for n in range(2, 6):
             expected = sorted(key for key in edge_subsets(n) if is_connected(n, key))
-            assert list(connected_subgraphs(n)) == expected
+            assert walked_keys(n) == expected
 
     def test_spend_predicate_keeps_exactly_the_sets_within_the_bound(self):
         rng = random.Random(5)
@@ -153,13 +158,17 @@ class TestConnectedSubgraphs:
             for bound in (0, 3, 7, 12, 20, sum(weights)):
                 calls = []
 
-                def within(s):
+                def within(s, j):
+                    s += weights[j]
                     calls.append(s)
-                    return s <= bound
+                    return s if s <= bound else None
 
-                walked = list(connected_subgraphs(n, weights, within))
-                assert walked == [k for k in connected if sum(spend[e] for e in k) <= bound]
-                # A rejected set's subtree is never reached: the predicate sees
+                walked = list(connected_subgraphs(n, within, 0))
+                kept = [k for k in connected if sum(spend[e] for e in k) <= bound]
+                assert [key for key, _ in walked] == kept
+                # each kept set's state is its own spend
+                assert [s for _, s in walked] == [sum(spend[e] for e in k) for k in kept]
+                # A rejected set's subtree is never reached: the step sees
                 # exactly the one-pair extensions (by a later pair) of the empty
                 # set and of every set within the bound.
                 expected = sum(
@@ -168,6 +177,41 @@ class TestConnectedSubgraphs:
                     if sum(spend[e] for e in k) <= bound
                 )
                 assert len(calls) == expected
+
+    def test_without_a_step_every_state_is_the_root(self):
+        marker = object()
+        assert all(state is marker for _, state in connected_subgraphs(4, root=marker))
+        assert all(state is None for _, state in connected_subgraphs(4))
+
+    def test_prefilter_rows_are_the_engines_rows(self):
+        # The rows the ps prefilter carries down the walk are exact: for
+        # every candidate they equal the engine's Dijkstra rows, and their
+        # sums and spend match, on hosts with and without zero-weight links.
+        instances = []
+        for n in range(2, 6):
+            for model in MODELS:
+                for k, alpha in enumerate((F(1, 2), F(2), F(5))):
+                    inst = L.random_instance(n, model, 20 * n + k, alpha)
+                    if k != 1:
+                        inst = with_zero_links(inst, f"rows:{model}:{n}:{k}")
+                    instances.append(inst)
+            instances.append(unit_instance(n, 1))
+            if n > 2:
+                instances.append(L.gen_general_bse(n, F(2)).instance)  # zero_cluster
+        assert any(
+            inst.host.weights[u][v] == 0 for inst in instances for u, v in all_pairs(inst.n)
+        )
+        for inst in instances:
+            n = inst.n
+            engine = CostEngine(inst)
+            root, step = ps_prefilter(engine)
+            count = 0
+            for key, (rows, sums, _, spend, _) in connected_subgraphs(n, step, root):
+                count += 1
+                assert rows == [engine.row(key, x) for x in range(n)]
+                assert sums == [sum(r) for r in rows]
+                assert spend == sum(engine.W[a][b] for a, b in key)
+            assert count == len(walked_keys(n))
 
 
 class TestHeuristic:

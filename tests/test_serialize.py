@@ -5,7 +5,12 @@ import pytest
 
 import ncglab as L
 from ncglab import serialize as S
-from ncglab.errors import LabInputError
+from ncglab.errors import (
+    AdditionOutsideCoalition,
+    LabInputError,
+    MoveError,
+    RemovalOutsideCoalition,
+)
 
 
 def sample_instance():
@@ -110,6 +115,27 @@ class TestWitnessFiles:
     def test_rejects_non_integer_node_ids(self, field, value):
         with pytest.raises(LabInputError):
             S.witness_from_json(json.dumps({"concept": "BSE", field: value}))
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ({}, MoveError),
+            ({"concept": "XX", "coalition": [0]}, MoveError),
+            ({"concept": "PS", "coalition": []}, MoveError),
+            ({"concept": "BSE", "coalition": [0], "add": [[0, 1]]}, AdditionOutsideCoalition),
+            ({"concept": "BNE", "coalition": [2], "remove": [[0, 1]]}, RemovalOutsideCoalition),
+        ],
+    )
+    def test_rejects_moves_no_checker_makes(self, data, error):
+        with pytest.raises(error):
+            S.witness_from_json(json.dumps(data))
+        assert issubclass(error, LabInputError)
+
+    def test_accepts_a_removal_with_one_endpoint_in_the_coalition(self):
+        move = S.witness_from_json(
+            json.dumps({"concept": "BNE", "coalition": [1], "remove": [[0, 1]], "add": []})
+        )
+        assert move == L.Move.make((1,), removals=[(0, 1)], concept="bne")
 
     def test_finite_deltas_serialized_exactly(self):
         fx = L.gen_general_bse(4, F(2))
