@@ -15,7 +15,7 @@ from .engine import CostEngine
 from .errors import InconclusiveSearch, LabInputError
 from .guided import guided_bse_candidates
 from .model import Instance, Network
-from .stability import BSE, _Search, apply_move
+from .stability import BSE, _Search, apply_move, require_concept
 
 FIRST_FOUND = "first-found"
 BEST_RESPONSE = "best-response"
@@ -49,6 +49,7 @@ def find_improving_move(
     """One improving move per the policy, or None when the checker proves
     stability. Raises InconclusiveSearch when the budget runs out first.
     """
+    require_concept(concept)
     if policy not in POLICIES:
         raise LabInputError(f"unknown policy {policy!r}; know {POLICIES}")
     engine = engine or CostEngine(inst)

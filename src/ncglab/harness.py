@@ -23,7 +23,7 @@ from .optimum import (
 )
 from .randomgen import random_instance
 from .scalars import cost_ratio, format_rational, is_inf
-from .stability import BNE, BSE, CONCEPTS, PS, Budget, check, ps_prefilter
+from .stability import BNE, BSE, PS, Budget, check, ps_prefilter, require_concept
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
 # Beyond ENUM_LIMITS, the worst stable cost is sampled from this many
@@ -81,6 +81,7 @@ def enumerate_stable(
     the sort holds keys and costs, not distance rows. Otherwise they are
     streamed from the walk in edge-tuple order, never held in one list.
     """
+    require_concept(concept)
     limit = ENUM_LIMITS[concept]
     if inst.n > limit:
         raise InstanceTooLarge(inst.n, limit, f"{concept} enumeration")
@@ -220,6 +221,7 @@ def _measure_poa(inst, concept, engine, *, worst_only, budget, label, seed):
     Returns the point, the ``OptResult`` and the stable networks (None
     unless fully enumerated).
     """
+    require_concept(concept)
     if inst.n <= ENUM_LIMITS[concept]:
         enum = enumerate_stable(
             inst, concept, budget=budget, worst_only=worst_only, engine=engine
@@ -266,8 +268,7 @@ class SweepConfig:
                 raise LabInputError(f"alpha must be positive, got {alpha}")
         if self.family != "random" and self.family not in FAMILIES:
             raise LabInputError(f"unknown family {self.family!r}")
-        if self.concept not in CONCEPTS:
-            raise LabInputError(f"unknown concept {self.concept!r}; know {CONCEPTS}")
+        require_concept(self.concept)
         if self.count < 1:
             raise LabInputError(f"count must be at least 1, got {self.count}")
 

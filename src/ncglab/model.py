@@ -267,30 +267,22 @@ def star_social_cost(n: int, alpha: Fraction, total_weight: Fraction) -> Fractio
 
 
 def spanner_stretch(net: Network, host: HostGraph):
-    """max over pairs of d_net(u,v) / d_host(u,v).
-
-    Host distances are shortest paths over the full host, so non-metric
-    hosts are handled correctly. Pairs at host distance zero must also be
-    at network distance zero and are skipped; otherwise the stretch is
-    infinite, matching the convention that a k-spanner must preserve
-    zero distances.
+    """max over host links of d_net(u,v) / w(u,v), which is the worst
+    stretch over all pairs, d_net / d_host (spanner lemma, Peleg &
+    Schäffer, J. Graph Theory 1989): a pair's host shortest path is a
+    chain of links, each stretched by at most R, and d_host <= w on every
+    link. A zero-weight link needs network distance zero, else the
+    stretch is infinite, as it is for a disconnected network.
     """
-    d_net = shortest_distances(net, host)
-    d_host = shortest_distances(Network.complete(host.n), host)
+    d_net = shortest_distances(net, host).dist
     worst = Fraction(0)
     for u in range(host.n):
         for v in range(u + 1, host.n):
-            dh = d_host.dist[u][v]
-            dg = d_net.dist[u][v]
-            if dh == 0:
-                if is_inf(dg) or dg != 0:
-                    return INF
-                continue
-            if is_inf(dg):
+            w, dg = host.weights[u][v], d_net[u][v]
+            if is_inf(dg) or (dg and not w):
                 return INF
-            ratio = dg / dh
-            if ratio > worst:
-                worst = ratio
+            if w:
+                worst = max(worst, dg / w)
     return worst
 
 

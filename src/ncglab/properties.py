@@ -1,8 +1,9 @@
 """Seeded randomized property suite over the module invariants.
 
 Each property draws its own deterministic stream of instances and
-networks, counts violations, and shrinks the first counterexample by
-greedily dropping edges, then nodes, while the failure persists. A clean
+networks and counts violations. Single-removal dominance also shrinks its
+first counterexample by greedily dropping edges, then nodes, while the
+failure persists; the others report theirs as drawn. A clean
 run is a (statistical) certificate that the exact checkers, the cost
 identities, and the proven structural bounds agree on random data.
 """

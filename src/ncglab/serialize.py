@@ -75,8 +75,12 @@ def _edge(pair):
 # -- instances ---------------------------------------------------------------
 
 def instance_to_json(inst: Instance) -> str:
+    return _dump(_instance_payload(inst))
+
+
+def _instance_payload(inst: Instance) -> dict:
     host = inst.host
-    payload = {
+    return {
         "version": INSTANCE_VERSION,
         "n": host.n,
         "alpha": format_rational(inst.alpha),
@@ -86,7 +90,6 @@ def instance_to_json(inst: Instance) -> str:
         ],
         "metric_hint": is_metric(host).is_metric,
     }
-    return _dump(payload)
 
 
 def instance_from_json(text: str) -> Instance:
@@ -108,7 +111,11 @@ def _instance(data) -> Instance:
 # -- networks -----------------------------------------------------------------
 
 def network_to_json(net: Network) -> str:
-    return _dump({"edges": [[u, v] for u, v in net.edges]})
+    return _dump(_network_payload(net))
+
+
+def _network_payload(net: Network) -> dict:
+    return {"edges": [[u, v] for u, v in net.edges]}
 
 
 def network_from_json(text: str, n: int) -> Network:
@@ -189,9 +196,9 @@ def fixture_to_json(fixture: Fixture) -> str:
             "expected_ratio": format_rational(fixture.expected_ratio),
             "asymptotic_only": fixture.ratio_is_asymptotic_only,
             "requires_metric": fixture.requires_metric,
-            "instance": json.loads(instance_to_json(fixture.instance)),
-            "stable_net": json.loads(network_to_json(fixture.stable_net)),
-            "reference_net": json.loads(network_to_json(fixture.reference_net)),
+            "instance": _instance_payload(fixture.instance),
+            "stable_net": _network_payload(fixture.stable_net),
+            "reference_net": _network_payload(fixture.reference_net),
         }
     )
 
@@ -201,7 +208,7 @@ def fixture_from_json(text: str) -> Fixture:
 
 
 def _fixture(data) -> Fixture:
-    inst = instance_from_json(json.dumps(data["instance"]))
+    inst = _instance(data["instance"])
     n = inst.n
     concept = str(data["concept"]).lower()
     if concept not in CONCEPTS:
@@ -210,8 +217,8 @@ def _fixture(data) -> Fixture:
         family=data["family"],
         variant=data.get("variant"),
         instance=inst,
-        stable_net=network_from_json(json.dumps(data["stable_net"]), n),
-        reference_net=network_from_json(json.dumps(data["reference_net"]), n),
+        stable_net=_network(data["stable_net"], n),
+        reference_net=_network(data["reference_net"], n),
         claimed_concept=concept,
         expected_ratio=_rational(data["expected_ratio"], "expected_ratio"),
         ratio_is_asymptotic_only=bool(data["asymptotic_only"]),
@@ -224,8 +231,8 @@ def _fixture(data) -> Fixture:
 def trace_to_json(trace) -> str:
     return _dump(
         {
-            "initial": json.loads(network_to_json(trace.initial)),
-            "final": json.loads(network_to_json(trace.final)),
+            "initial": _network_payload(trace.initial),
+            "final": _network_payload(trace.final),
             "outcome": trace.outcome,
             "cycle_start": trace.cycle_start,
             "cycle_period": trace.cycle_period,

@@ -42,7 +42,9 @@ parent's distance rows (a pair stretched beyond (p+q)/q = alpha + 1
 times its host weight, or an endpoint of the last added edge that
 strictly gains by deleting it) has an improving ps move. It is then
 neither ps-, bne- nor bse-stable, since both stronger concepts admit
-every ps move, and it is never handed to a checker.
+every ps move, and it is never handed to a checker. The walk carries one
+stretch flag: distances only fall down the walk, so only a stretched
+parent's child can be stretched, and only it is tested again.
 
 Witnesses are deterministic: the first improving move in the documented
 canonical enumeration order (for ps this is the lexicographically smallest
@@ -81,6 +83,12 @@ CONCEPTS = (PS, BNE, BSE)
 STABLE = "stable"
 UNSTABLE = "unstable"
 INCONCLUSIVE = "inconclusive"
+
+
+def require_concept(concept):
+    """Raise ``LabInputError`` unless the concept is one of ``CONCEPTS``."""
+    if concept not in CONCEPTS:
+        raise LabInputError(f"unknown concept {concept!r}; know {CONCEPTS}")
 
 
 def _pair(e):
@@ -235,7 +243,7 @@ class _Search:
         if self.base[u] is not None:
             return
         eng = self.engine
-        self.rem_inc[u] = inc = sum(w for _, w in eng.state(self.gkey).adj[u])
+        self.rem_inc[u] = inc = eng.incident_weight(self.gkey, u)
         d_g = eng.dist_sum(self.gkey, u)
         self.base[u] = eng.p * inc + eng.q * d_g
         self.base_dist[u] = d_g
@@ -444,42 +452,33 @@ def ps_prefilter(engine: CostEngine):
     stability from them, before any ``_Search`` is built.
 
     A node's state is ``(rows, sums, stretched, spend, refuted)``: its
-    all-pairs distance rows (ints or ``inf``), their sums, the bitmask of
-    pairs (bit k for the walk's k-th pair) with
-    ``q*d(x,y) > (p+q)*W(x,y)``, its edge spend, and ``_refutes_ps``'s
-    answer for the node. The step adds the node's pair to its parent's
-    rows by ``engine.rows_after_add`` and re-sums only the rows that
-    changed. Distances only fall down the walk, so a pair that meets the
-    stretch bound keeps meeting it: the child's mask is the parent's less
-    the pairs that changed rows bring within the bound. The step never
-    returns None, so the walk still reaches every subset.
+    all-pairs distance rows (ints or ``inf``), their sums, the flag that
+    some pair has ``q*d(x,y) > (p+q)*W(x,y)``, its edge spend, and
+    ``_refutes_ps``'s answer for the node. The step adds the node's pair
+    to its parent's rows by ``engine.rows_after_add`` and re-sums only
+    the rows that changed. Distances only fall down the walk, so only a
+    stretched node's child can be stretched, and it is tested again. The
+    step never returns None, so the walk still reaches every subset.
     """
     n, q, W = engine.n, engine.q, engine.W
     pairs = _all_pairs(n)
-    # per row x, its pairs (x, y > x): y, the pair's bit and its stretch
-    # limit (p+q)*W(x,y); a distance that falls changes both of its rows,
-    # so looking at each pair from its lower end misses none
-    by_row = [[] for _ in range(n)]
-    for k, (x, y) in enumerate(pairs):
-        by_row[x].append((y, 1 << k, (engine.p + q) * W[x][y]))
-    row_bits = [sum(bit for _, bit, _ in by_row[x]) for x in range(n)]
+    limits = [(x, y, (engine.p + q) * W[x][y]) for x, y in pairs]
+
+    def is_stretched(rows):
+        for x, y, limit in limits:
+            if q * rows[x][y] > limit:
+                return True
+        return False
+
     rows = [[0 if y == x else INF for y in range(n)] for x in range(n)]
-    stretched = sum(
-        bit for x in range(n) for y, bit, limit in by_row[x] if q * rows[x][y] > limit
-    )
-    root = (rows, [sum(r) for r in rows], stretched, 0, False)
+    root = (rows, [sum(r) for r in rows], is_stretched(rows), 0, False)
 
     def step(parent, j):
         rows, before, stretched, spend, _ = parent
         u, v = pairs[j]
         child = engine.rows_after_add(rows, u, v)
         after = [s if rx is old else sum(rx) for s, rx, old in zip(before, child, rows)]
-        if stretched:
-            for rx, old, bits, row_pairs in zip(child, rows, row_bits, by_row):
-                if rx is not old and stretched & bits:
-                    for y, bit, limit in row_pairs:
-                        if stretched & bit and not q * rx[y] > limit:
-                            stretched ^= bit
+        stretched = stretched and is_stretched(child)
         refuted = _refutes_ps(engine, u, v, before, after, stretched)
         return child, after, stretched, spend + W[u][v], refuted
 
@@ -491,8 +490,8 @@ def _refutes_ps(engine, u, v, before, after, stretched):
     S - uv, is not pairwise stable: some ps move strictly improves.
 
     ``before`` and ``after`` are the row sums of S - uv and of S, and
-    ``stretched`` is S's stretch mask (see ``ps_prefilter``). Each test
-    is the checker's own ps condition:
+    ``stretched`` is S's stretch flag (see ``ps_prefilter``): some pair
+    of S is stretched. Each test is the checker's own ps condition:
 
       * stretch: a pair x, y with ``q*d_S(x,y) > (p+q)*W(x,y)`` is not an
         edge (an edge has d_S <= W), and adding it saves each endpoint at
@@ -506,10 +505,9 @@ def _refutes_ps(engine, u, v, before, after, stretched):
     if stretched:
         return True
     price = engine.p * engine.W[u][v]
-    for a in (u, v):
-        if before[a] < INF and engine.q * (before[a] - after[a]) < price:
-            return True
-    return False
+    return any(
+        before[a] < INF and engine.q * (before[a] - after[a]) < price for a in (u, v)
+    )
 
 
 def _run_checker(inst, net, concept, budget=None, engine=None):
@@ -544,8 +542,7 @@ def is_bse(inst: Instance, net: Network, budget: Budget = None, engine=None):
 
 
 def check(inst: Instance, net: Network, concept: str, budget: Budget = None, engine=None):
-    if concept not in CONCEPTS:
-        raise ValueError(f"unknown concept {concept!r}")
+    require_concept(concept)
     return _run_checker(inst, net, concept, budget=budget, engine=engine)
 
 

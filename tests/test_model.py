@@ -195,6 +195,43 @@ class TestSpannerStretch:
         net = L.Network.from_pairs(3, [(0, 2), (1, 2)])  # d(0,1) = 2 but host 0
         assert L.is_inf(L.spanner_stretch(net, h))
 
+    @staticmethod
+    def all_pairs_stretch(net, h):
+        """The worst d_net/d_host over all pairs, host distances by
+        shortest paths over the full host; a pair at host distance zero
+        needs network distance zero."""
+        d_net = L.shortest_distances(net, h).dist
+        d_host = L.shortest_distances(L.Network.complete(h.n), h).dist
+        worst = F(0)
+        for u in range(h.n):
+            for v in range(u + 1, h.n):
+                dh, dg = d_host[u][v], d_net[u][v]
+                if L.is_inf(dg) or (dh == 0 and dg != 0):
+                    return L.INF
+                if dh != 0:
+                    worst = max(worst, dg / dh)
+        return worst
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        weights=st.lists(
+            st.sampled_from((0, 0, 1, 1, 2, 3, 7, F(1, 2), F(5, 3))),
+            min_size=15,
+            max_size=15,
+        ),
+        kept=st.lists(st.booleans(), min_size=15, max_size=15),
+    )
+    def test_link_maximum_equals_all_pairs_stretch(self, n, weights, kept):
+        # zero and non-metric weights, connected and disconnected networks
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        w = [[F(0)] * n for _ in range(n)]
+        for k, (u, v) in enumerate(pairs):
+            w[u][v] = w[v][u] = F(weights[k])
+        h = L.validate_host(w)
+        net = L.Network.from_pairs(n, (p for k, p in enumerate(pairs) if kept[k]))
+        assert L.spanner_stretch(net, h) == self.all_pairs_stretch(net, h)
+
 
 class TestShortestPathTree:
     def test_star_is_its_own_tree(self):

@@ -206,11 +206,16 @@ class TestConnectedSubgraphs:
             engine = CostEngine(inst)
             root, step = ps_prefilter(engine)
             count = 0
-            for key, (rows, sums, _, spend, _) in connected_subgraphs(n, step, root):
+            p, q = engine.p, engine.q
+            for key, state in connected_subgraphs(n, step, root):
+                rows, sums, stretched, spend, _ = state
                 count += 1
                 assert rows == [engine.row(key, x) for x in range(n)]
                 assert sums == [sum(r) for r in rows]
                 assert spend == sum(engine.W[a][b] for a, b in key)
+                assert stretched == any(
+                    q * rows[x][y] > (p + q) * engine.W[x][y] for x, y in all_pairs(n)
+                )
             assert count == len(walked_keys(n))
 
 

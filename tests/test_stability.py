@@ -452,6 +452,25 @@ class TestBudgets:
         assert verdict.stable
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda inst, net: L.check(inst, net, "xx"),
+        lambda inst, net: L.enumerate_stable(inst, "xx"),
+        lambda inst, net: L.poa_point(inst, "xx"),
+        lambda inst, net: L.run_dynamics(inst, net, "xx"),
+        lambda inst, net: L.find_improving_move(inst, net, "xx"),
+    ],
+    ids=["check", "enumerate_stable", "poa_point", "run_dynamics", "find_improving_move"],
+)
+def test_unknown_concept_is_an_input_error_everywhere(entry):
+    inst = L.random_instance(4, "tree", 0, F(2))
+    net = L.Network.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    know = r"unknown concept 'xx'; know \('ps', 'bne', 'bse'\)"
+    with pytest.raises(L.LabInputError, match=know):
+        entry(inst, net)
+
+
 class TestBestSingleRemoval:
     def test_triangle(self):
         inst = unit_instance(3, 3)
