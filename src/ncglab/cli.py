@@ -11,7 +11,6 @@ import sys
 from . import dynamics as dyn
 from . import fixtures as fx
 from . import harness, properties, serialize
-from .engine import CostEngine
 from .errors import BoundViolation, LabInputError
 from .optimum import brute_force_opt, social_optimum
 from .scalars import format_rational, parse_rational
@@ -34,8 +33,11 @@ def _read(path, what):
 
 def _write_out(text, path=None):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise LabInputError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -62,16 +64,14 @@ def _load_instance(args):
 def cmd_check(args):
     inst = _load_instance(args)
     net = serialize.network_from_json(_read(args.network, "network"), inst.n)
-    engine = CostEngine(inst)
-    budget = _budget_from_args(args)
-    verdict = check(inst, net, args.concept, budget=budget, engine=engine)
+    verdict = check(inst, net, args.concept, budget=_budget_from_args(args))
     if verdict.stable:
         print(f"stable: no improving {args.concept} move exists")
         return EXIT_OK
     if verdict.inconclusive:
         print(f"inconclusive: {verdict.frontier}")
         return EXIT_INCONCLUSIVE
-    deltas = move_deltas(inst, net, verdict.witness, engine)
+    deltas = move_deltas(inst, net, verdict.witness)
     text = serialize.witness_to_json(verdict.witness, deltas)
     if args.witness_out:
         _write_out(text, args.witness_out)

@@ -44,7 +44,6 @@ def find_improving_move(
     concept: str,
     policy: str = FIRST_FOUND,
     budget=None,
-    engine: CostEngine = None,
 ):
     """One improving move per the policy, or None when the checker proves
     stability. Raises InconclusiveSearch when the budget runs out first.
@@ -52,16 +51,15 @@ def find_improving_move(
     require_concept(concept)
     if policy not in POLICIES:
         raise LabInputError(f"unknown policy {policy!r}; know {POLICIES}")
-    engine = engine or CostEngine(inst)
     if policy == GUIDED_FIRST:
         if concept != BSE:
             raise LabInputError("guided-first policy applies to bse only")
-        candidates = guided_bse_candidates(inst, net, engine=engine)
+        candidates = guided_bse_candidates(inst, net)
         if candidates:
             return candidates[0]
         policy = FIRST_FOUND
 
-    search = _Search(inst, net, budget=budget, engine=engine)
+    search = _Search(inst, net, budget, CostEngine(inst))
     if policy == FIRST_FOUND:
         for move in search.moves(concept):
             return move
@@ -75,7 +73,7 @@ def find_improving_move(
     for move in search.moves(concept):
         after = apply_move(net, move).edges
         gain = sum(
-            search.base[m] - engine.member_cost(after, m) for m in move.coalition
+            search.base[m] - search.engine.member_cost(after, m) for m in move.coalition
         )
         if best_gain is None or gain > best_gain:
             best_move, best_gain = move, gain
@@ -91,7 +89,6 @@ def run_dynamics(
     policy: str = FIRST_FOUND,
     max_steps: int = 100,
     budget=None,
-    engine: CostEngine = None,
     _mover=None,
 ) -> Trace:
     """Iterate improving moves until equilibrium, a revisit, or exhaustion.
@@ -99,19 +96,17 @@ def run_dynamics(
     Moves found by the built-in policies strictly improve their coalitions
     by construction, so every recorded step replays as a valid improving
     move. ``_mover`` is an instrumentation hook (tests drive the loop with
-    a scripted move source); suppliers of a custom mover take over that
-    guarantee themselves.
+    a scripted ``_mover(inst, net)``); suppliers of a custom mover take
+    over that guarantee themselves. Each step's search builds its own engine.
     """
     if max_steps < 0:
         raise LabInputError("max_steps must be >= 0")
-    engine = engine or CostEngine(inst)
+    engine = CostEngine(inst)
 
     def _next(current):
         if _mover is not None:
-            return _mover(inst, current, engine)
-        return find_improving_move(
-            inst, current, concept, policy, budget=budget, engine=engine
-        )
+            return _mover(inst, current)
+        return find_improving_move(inst, current, concept, policy, budget=budget)
 
     seen = {start.edges: 0}
     net = start

@@ -16,7 +16,9 @@ candidate networks many times through different coalitions; per engine,
 the full host's distance rows and their sums, which every dead-agent and
 spend-cap bound reads. ``social_after_add`` reuses the cached sums of the
 rows a new edge leaves unchanged, which ``rows_after_add`` returns as the
-same objects. Each cost method looks its state up once per call.
+same objects. Each cost method looks its state up once per call. No
+public entry point takes an engine: each builds its own, so the memo
+lives exactly as long as that one call.
 """
 
 from fractions import Fraction
@@ -41,14 +43,13 @@ class _NetState:
 
 class CostEngine:
     def __init__(self, inst):
-        self.inst = inst
-        self.n = n = inst.n
+        self.n = inst.n
         w = inst.host.weights
-        scale = lcm(*(w[u][v].denominator for u in range(n) for v in range(n)))
+        scale = lcm(*(x.denominator for row in w for x in row))
         self.p = inst.alpha.numerator
         self.q = inst.alpha.denominator
         self.unit = self.q * scale
-        self.W = [[int(w[u][v] * scale) for v in range(n)] for u in range(n)]
+        self.W = [[x.numerator * (scale // x.denominator) for x in row] for row in w]
         self._states = {}
         self._host_rows = None
         self._host_sums = None
@@ -154,7 +155,7 @@ class CostEngine:
         ru = self._row(st, u)
         rv = self._row(st, v)
         w = self.W[u][v]
-        return [min(a, w + b) for a, b in zip(ru, rv)]
+        return [a if a <= w + b else w + b for a, b in zip(ru, rv)]
 
     def rows_after_add(self, rows, u, v):
         """All distance rows after adding edge {u,v} of weight w, from the

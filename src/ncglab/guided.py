@@ -23,7 +23,6 @@ callers get no unvetted moves.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import CostEngine
 from .errors import AlphaTooSmall, HostNotMetric
 from .model import Instance, Network, is_metric, shortest_distances
 from .scalars import cmp_k_sqrt_alpha, floor_div_sqrt
@@ -150,16 +149,15 @@ def _matching_move(inst, net, part):
     return Move.make(sorted(used), additions=adds, concept=BSE)
 
 
-def guided_bse_candidates(inst: Instance, net: Network, engine: CostEngine = None):
+def guided_bse_candidates(inst: Instance, net: Network):
     """Replay-validated guided moves, possibly empty.
 
     Raises HostNotMetric / AlphaTooSmall when the preconditions fail.
     """
     dist = _distances(inst, net)
     part = _partition(inst, dist)
-    engine = engine or CostEngine(inst)
     out = []
     for move in (_tree_move(inst, net, part, dist), _matching_move(inst, net, part)):
-        if move is not None and is_improving(inst, net, move, engine=engine):
+        if move is not None and is_improving(inst, net, move):
             out.append(move)
     return out

@@ -23,7 +23,7 @@ from .optimum import (
 )
 from .randomgen import random_instance
 from .scalars import cost_ratio, format_rational, is_inf
-from .stability import BNE, BSE, PS, Budget, check, ps_prefilter, require_concept
+from .stability import BNE, BSE, PS, Budget, _run_checker, ps_prefilter, require_concept
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
 # Beyond ENUM_LIMITS, the worst stable cost is sampled from this many
@@ -54,7 +54,6 @@ def enumerate_stable(
     budget: Budget = None,
     worst_only: bool = False,
     use_containment: bool = True,
-    engine: CostEngine = None,
 ) -> EnumerationResult:
     """Check every connected subgraph with the concept's checker.
 
@@ -85,7 +84,7 @@ def enumerate_stable(
     limit = ENUM_LIMITS[concept]
     if inst.n > limit:
         raise InstanceTooLarge(inst.n, limit, f"{concept} enumeration")
-    engine = engine or CostEngine(inst)
+    engine = CostEngine(inst)
     chain = _concept_chain(concept) if use_containment else (concept,)
     root, step = ps_prefilter(engine)
     two_p, q = 2 * engine.p, engine.q
@@ -107,7 +106,7 @@ def enumerate_stable(
         net = Network(n=inst.n, edges=key)
         verdict = None
         for level in chain:
-            verdict = check(inst, net, level, budget=budget, engine=engine)
+            verdict = _run_checker(inst, net, level, budget, engine)
             if not verdict.stable:
                 break
         if verdict.inconclusive:
@@ -156,7 +155,7 @@ class PoaPoint:
         return self.worst_cost is not None
 
 
-def _sampled_worst(inst, concept, budget, engine, seed):
+def _sampled_worst(inst, concept, budget, seed):
     """Fallback beyond enumeration limits: worst certified endpoint of
     seeded improving-response runs. Never complete.
 
@@ -167,20 +166,19 @@ def _sampled_worst(inst, concept, budget, engine, seed):
     """
     rng = random.Random(seed)
     n = inst.n
+    engine = CostEngine(inst)
     nets = [Network(n=n, edges=_minimum_spanning_tree(inst)), Network.complete(n)]
     for _ in range(_SAMPLED_STARTS):
         nets.append(Network(n=n, edges=_random_spanning_tree(n, rng)))
     worst = None
     worst_cost = None
     for start in nets:
-        trace = run_dynamics(
-            inst, start, PS, FIRST_FOUND, _SAMPLED_MAX_STEPS, engine=engine
-        )
+        trace = run_dynamics(inst, start, PS, FIRST_FOUND, _SAMPLED_MAX_STEPS)
         if trace.outcome != EQUILIBRIUM:
             continue
         if concept != PS:
             certify = budget or Budget(max_moves=200_000)
-            verdict = check(inst, trace.final, concept, budget=certify, engine=engine)
+            verdict = _run_checker(inst, trace.final, concept, certify, engine)
             if not verdict.stable:
                 continue  # refuted or uncertifiable within budget: not usable
         cost = engine.social_cost(trace.final.edges)
@@ -196,21 +194,19 @@ def poa_point(
     concept: str,
     budget: Budget = None,
     label: str = "",
-    engine: CostEngine = None,
 ) -> PoaPoint:
     """Worst stable cost over proven (or heuristic) optimum cost.
 
     The ratio is exact whenever both sides are; when the optimum is
     heuristic the reported ratio underestimates the true one.
     """
-    engine = engine or CostEngine(inst)
     point, _, _ = _measure_poa(
-        inst, concept, engine, worst_only=True, budget=budget, label=label, seed=0
+        inst, concept, worst_only=True, budget=budget, label=label, seed=0
     )
     return point
 
 
-def _measure_poa(inst, concept, engine, *, worst_only, budget, label, seed):
+def _measure_poa(inst, concept, *, worst_only, budget, label, seed):
     """The one PoA path behind ``poa_point`` and ``poa_sweep``.
 
     The worst stable cost comes from enumeration up to the concept's limit
@@ -223,14 +219,12 @@ def _measure_poa(inst, concept, engine, *, worst_only, budget, label, seed):
     """
     require_concept(concept)
     if inst.n <= ENUM_LIMITS[concept]:
-        enum = enumerate_stable(
-            inst, concept, budget=budget, worst_only=worst_only, engine=engine
-        )
+        enum = enumerate_stable(inst, concept, budget=budget, worst_only=worst_only)
         worst_cost, complete, stable_nets = enum.worst_cost, enum.complete, enum.networks
     else:
-        _, worst_cost = _sampled_worst(inst, concept, budget, engine, seed)
+        _, worst_cost = _sampled_worst(inst, concept, budget, seed)
         complete, stable_nets = False, None
-    opt = social_optimum(inst, seed=seed, engine=engine)
+    opt = social_optimum(inst, seed=seed)
     ratio = None if worst_cost is None else cost_ratio(worst_cost, opt.cost)
     point = PoaPoint(
         label=label,
@@ -337,12 +331,10 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
     """
     rows = []
     for label, inst, expected in _sweep_instances(cfg):
-        engine = CostEngine(inst)
         metric = is_metric(inst.host).is_metric
         point, opt, stable_nets = _measure_poa(
             inst,
             cfg.concept,
-            engine,
             worst_only=False,
             budget=cfg.budget,
             label=label,
@@ -378,6 +370,7 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
             bound_opt = "n/a"
         advisory = None
         if cfg.concept == BSE and metric and point.stable_found and stable_nets:
+            engine = CostEngine(inst)
             worst_net = max(
                 stable_nets,
                 key=lambda g: (engine.social_cost(g.edges), tuple(reversed(g.edges))),

@@ -62,15 +62,15 @@ def connected_subgraphs(n, step=None, root=None):
         stack.extend((key, comp, state, k) for k in range(m - 1, j, -1))
 
 
-def social_optimum(inst: Instance, seed: int = 0, engine: CostEngine = None):
+def social_optimum(inst: Instance, seed: int = 0):
     """The optimum the lab reports: proven by ``brute_force_opt`` up to
     ``OPT_LIMIT`` nodes, a ``heuristic_opt`` upper bound beyond."""
     if inst.n <= OPT_LIMIT:
-        return brute_force_opt(inst, engine=engine)
-    return heuristic_opt(inst, seed=seed, engine=engine)
+        return brute_force_opt(inst)
+    return heuristic_opt(inst, seed=seed)
 
 
-def brute_force_opt(inst: Instance, engine: CostEngine = None):
+def brute_force_opt(inst: Instance):
     """Minimum social cost over all connected edge subsets, proven by enumeration.
 
     Disconnected subsets cost infinity and are never evaluated. The subsets
@@ -92,7 +92,7 @@ def brute_force_opt(inst: Instance, engine: CostEngine = None):
     n = inst.n
     if n > OPT_LIMIT:
         raise InstanceTooLarge(n, OPT_LIMIT, "exact optimum")
-    engine = engine or CostEngine(inst)
+    engine = CostEngine(inst)
     weights = [engine.W[u][v] for u, v in _all_pairs(n)]
     dist_floor = engine.q * sum(engine.host_dist_sum(u) for u in range(n))
     best_key = _minimum_spanning_tree(inst)
@@ -203,14 +203,14 @@ def _random_spanning_tree(n, rng):
     return canonical_edges(edges)
 
 
-def heuristic_opt(inst: Instance, seed: int = 0, engine=None):
+def heuristic_opt(inst: Instance, seed: int = 0):
     """Connected upper bound on the optimum: best of MST, best star, and
     local search from each plus seeded random spanning trees.
 
     The returned cost is >= the true optimum by construction, so ratios
     computed against it underestimate the instance's true ratio.
     """
-    engine = engine or CostEngine(inst)
+    engine = CostEngine(inst)
     rng = random.Random(seed)
     starts = [_minimum_spanning_tree(inst), _best_star(inst, engine)]
     starts += [_random_spanning_tree(inst.n, rng) for _ in range(HEURISTIC_RESTARTS)]

@@ -143,7 +143,7 @@ def check_single_removal_dominance(seed, trials):
         after = engine.member_cost(canonical_edges(set(net.edges) - set(subset)), u)
         if after >= base:
             continue
-        best = best_single_removal(inst, net, u, engine=engine)
+        best = best_single_removal(inst, net, u)
         if best is None or not (best[1] < 0):
             failures += 1
             if example is None:
@@ -158,7 +158,7 @@ def check_single_removal_dominance(seed, trials):
                     a = e2.member_cost(canonical_edges(set(g.edges) - set(sub)), u)
                     if a >= b:
                         return False
-                    bs = best_single_removal(i, g, u, engine=e2)
+                    bs = best_single_removal(i, g, u)
                     return bs is None or not (bs[1] < 0)
 
                 si, sg = shrink_counterexample(inst, net, fails)

@@ -59,6 +59,12 @@ def _int(obj, what):
     return obj
 
 
+def _bool(obj, what):
+    if type(obj) is not bool:  # bool() would read the string "false" as true
+        raise LabInputError(f"{what} must be a JSON boolean: {obj!r}")
+    return obj
+
+
 def _list(obj, what):
     if not isinstance(obj, list):  # a string would be iterated per character
         raise LabInputError(f"{what} must be a JSON list: {obj!r}")
@@ -221,8 +227,8 @@ def _fixture(data) -> Fixture:
         reference_net=_network(data["reference_net"], n),
         claimed_concept=concept,
         expected_ratio=_rational(data["expected_ratio"], "expected_ratio"),
-        ratio_is_asymptotic_only=bool(data["asymptotic_only"]),
-        requires_metric=bool(data.get("requires_metric", False)),
+        ratio_is_asymptotic_only=_bool(data["asymptotic_only"], "asymptotic_only"),
+        requires_metric=_bool(data.get("requires_metric", False), "requires_metric"),
     )
 
 

@@ -187,9 +187,9 @@ def _cost_delta(engine, old, new):
     return engine.to_cost(new - old)
 
 
-def move_deltas(inst: Instance, net: Network, move: Move, engine: CostEngine = None):
+def move_deltas(inst: Instance, net: Network, move: Move):
     """Exact per-member cost deltas (after minus before) of applying a move."""
-    engine = engine or CostEngine(inst)
+    engine = CostEngine(inst)
     after = apply_move(net, move).edges
     out = []
     for m in move.coalition:
@@ -198,9 +198,9 @@ def move_deltas(inst: Instance, net: Network, move: Move, engine: CostEngine = N
     return tuple(out)
 
 
-def is_improving(inst: Instance, net: Network, move: Move, engine: CostEngine = None):
+def is_improving(inst: Instance, net: Network, move: Move):
     """True iff the move strictly improves every coalition member."""
-    engine = engine or CostEngine(inst)
+    engine = CostEngine(inst)
     after = apply_move(net, move).edges
     return all(
         engine.member_cost(after, m) < engine.member_cost(net.edges, m)
@@ -222,10 +222,10 @@ class _Search:
     (see the module docstring).
     """
 
-    def __init__(self, inst, net, budget=None, engine=None):
+    def __init__(self, inst, net, budget, engine):
         if net.n != inst.n:
             raise ValueError("network and instance disagree on node count")
-        self.engine = engine or CostEngine(inst)
+        self.engine = engine
         self.budget = budget or _UNLIMITED
         self.gkey = net.edges
         self.eset = frozenset(net.edges)
@@ -510,8 +510,8 @@ def _refutes_ps(engine, u, v, before, after, stretched):
     )
 
 
-def _run_checker(inst, net, concept, budget=None, engine=None):
-    search = _Search(inst, net, budget=budget, engine=engine)
+def _run_checker(inst, net, concept, budget, engine):
+    search = _Search(inst, net, budget, engine)
     for move in search.moves(concept):
         return Verdict(
             status=UNSTABLE,
@@ -527,32 +527,32 @@ def _run_checker(inst, net, concept, budget=None, engine=None):
     return Verdict(status=STABLE, moves_evaluated=search.evaluated)
 
 
-def is_pairwise_stable(inst: Instance, net: Network, engine: CostEngine = None):
+def is_pairwise_stable(inst: Instance, net: Network):
     """Exhaustive single-deletion / single-addition check; unbudgeted, so
     always conclusive. ``check(..., PS, budget=...)`` caps the same search."""
-    return _run_checker(inst, net, PS, engine=engine)
+    return _run_checker(inst, net, PS, None, CostEngine(inst))
 
 
-def is_bne(inst: Instance, net: Network, budget: Budget = None, engine=None):
-    return _run_checker(inst, net, BNE, budget=budget, engine=engine)
+def is_bne(inst: Instance, net: Network, budget: Budget = None):
+    return _run_checker(inst, net, BNE, budget, CostEngine(inst))
 
 
-def is_bse(inst: Instance, net: Network, budget: Budget = None, engine=None):
-    return _run_checker(inst, net, BSE, budget=budget, engine=engine)
+def is_bse(inst: Instance, net: Network, budget: Budget = None):
+    return _run_checker(inst, net, BSE, budget, CostEngine(inst))
 
 
-def check(inst: Instance, net: Network, concept: str, budget: Budget = None, engine=None):
+def check(inst: Instance, net: Network, concept: str, budget: Budget = None):
     require_concept(concept)
-    return _run_checker(inst, net, concept, budget=budget, engine=engine)
+    return _run_checker(inst, net, concept, budget, CostEngine(inst))
 
 
-def best_single_removal(inst: Instance, net: Network, u: int, engine=None):
+def best_single_removal(inst: Instance, net: Network, u: int):
     """Cheapest single incident removal for u: (edge, exact cost delta).
 
     Returns None when u is isolated; the delta is infinite when every
     single removal disconnects u. Ties break toward the smallest edge.
     """
-    engine = engine or CostEngine(inst)
+    engine = CostEngine(inst)
     incident = sorted(e for e in net.edges if u in e)
     if not incident:
         return None

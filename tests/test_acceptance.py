@@ -14,7 +14,6 @@ from math import isqrt
 import pytest
 
 import ncglab as L
-from ncglab.engine import CostEngine
 from ncglab.properties import (
     check_single_removal_dominance,
     check_tree_distance_bound,
@@ -198,14 +197,13 @@ def build_c6_c9():
     violations = []
     for model, seed, n, alpha in _c6_instances():
         inst = L.random_instance(n, model, seed, alpha)
-        engine = CostEngine(inst)
         metric = L.is_metric(inst.host).is_metric
         if model == "tree":
             ok6 &= metric
-        ps = L.enumerate_stable(inst, "ps", engine=engine)
-        bne = L.enumerate_stable(inst, "bne", engine=engine)
-        bse = L.enumerate_stable(inst, "bse", engine=engine)
-        opt = L.brute_force_opt(inst, engine=engine)
+        ps = L.enumerate_stable(inst, "ps")
+        bne = L.enumerate_stable(inst, "bne")
+        bse = L.enumerate_stable(inst, "bse")
+        opt = L.brute_force_opt(inst)
         label = f"{model}(seed={seed},n={n},alpha={alpha})"
 
         ratio = None

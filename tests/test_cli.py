@@ -208,6 +208,34 @@ def test_malformed_file_exits_three(workdir, capsys, command, contents):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "zero_cluster", "--n", "4", "--alpha", "2", "--out", "missing"],
+        ["opt", "instance", "--out", "dir"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_unwritable_out_exits_three(workdir, capsys, args):
+    paths = workdir | {"missing": workdir["dir"] / "no-such-dir" / "x.json"}
+    assert main([str(paths.get(a, a)) for a in args]) == 3
+    assert "input error: cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", 1, None], ids=repr)
+@pytest.mark.parametrize("flag", ["asymptotic_only", "requires_metric"])
+def test_fixture_flags_must_be_json_booleans(tmp_path, capsys, flag, value):
+    # bool("false") is True: a string flag would skip the exact-ratio check
+    bundle = tmp_path / "b.json"
+    assert main(["gen", "zero_cluster", "--n", "4", "--alpha", "2", "--out", str(bundle)]) == 0
+    data = json.loads(bundle.read_text()) | {"expected_ratio": "7"}
+    bundle.write_text(json.dumps(data))
+    assert main(["verify-fixture", str(bundle)]) == 4  # FAIL cost ratio exact
+    bundle.write_text(json.dumps(data | {flag: value}))
+    assert main(["verify-fixture", str(bundle)]) == 3
+    assert f"{flag} must be a JSON boolean" in capsys.readouterr().err
+
+
 class TestOpt:
     def test_writes_proven_optimum(self, workdir, tmp_path):
         out = tmp_path / "opt.json"

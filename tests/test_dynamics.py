@@ -140,7 +140,7 @@ class TestRunDynamics:
         add = L.Move.make((0, 1), additions=[(0, 1)], concept="ps")
         remove = L.Move.make((0,), removals=[(0, 1)], concept="ps")
 
-        def mover(_inst, net, _engine):
+        def mover(_inst, net):
             return add if not net.edges else remove
 
         trace = L.run_dynamics(

@@ -1,5 +1,7 @@
-"""The engine's one-edge-add kernels against pricing the bigger network afresh."""
+"""The engine's one-edge-add kernels against pricing the bigger network
+afresh, and the engine's absence from the public signatures."""
 
+import inspect
 import random
 from fractions import Fraction as F
 
@@ -54,3 +56,13 @@ class TestAddKernels:
         assert checked > 7_000
         assert disconnected > 400
         assert zero_links >= 24
+
+
+def test_no_public_call_takes_an_engine():
+    # an engine holds one instance's weights and alpha; handed to a call on
+    # another instance it gave that instance's answers, so each call builds
+    # its own
+    for name in L.__all__:
+        obj = getattr(L, name)
+        if callable(obj) and not isinstance(obj, type):
+            assert "engine" not in inspect.signature(obj).parameters, name

@@ -219,7 +219,7 @@ class TestPsPrefilter:
         root, step = S.ps_prefilter(engine)
         for key, (_, _, _, _, refuted) in connected_subgraphs(n, step, root):
             if refuted:
-                verdict = L.is_pairwise_stable(inst, L.Network(n=n, edges=key), engine)
+                verdict = L.is_pairwise_stable(inst, L.Network(n=n, edges=key))
                 assert verdict.unstable, key
 
     def test_checked_counts_every_connected_graph(self):

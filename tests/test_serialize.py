@@ -152,10 +152,15 @@ class TestFixtureBundles:
     def test_roundtrip_all_families(self):
         for fx in (
             L.gen_general_bse(4, F(2)),
+            L.gen_general_bse(5, F(1, 2)),
+            L.gen_metric_star(5, F(16), "ps"),
             L.gen_metric_star(5, F(16), "bne"),
+            L.gen_metric_star(5, F(16), "bse"),
             L.gen_metric_path(6, F(36)),
         ):
-            back = S.fixture_from_json(S.fixture_to_json(fx))
+            text = S.fixture_to_json(fx)
+            back = S.fixture_from_json(text)
+            assert S.fixture_to_json(back) == text
             assert back.family == fx.family
             assert back.claimed_concept == fx.claimed_concept
             assert back.expected_ratio == fx.expected_ratio

@@ -513,7 +513,7 @@ class TestBestSingleRemoval:
                     improving_subset_exists = True
                     break
             if improving_subset_exists:
-                _, delta = L.best_single_removal(inst, net, u, engine=eng)
+                _, delta = L.best_single_removal(inst, net, u)
                 assert delta < 0
 
 
@@ -547,10 +547,9 @@ class TestContainment:
             for mask in range(1, 1 << len(pairs)):
                 edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
                 net = L.Network.from_pairs(n, edges)
-                eng = CostEngine(inst)
-                bse = L.is_bse(inst, net, engine=eng).stable
-                bne = L.is_bne(inst, net, engine=eng).stable
-                ps = L.is_pairwise_stable(inst, net, engine=eng).stable
+                bse = L.is_bse(inst, net).stable
+                bne = L.is_bne(inst, net).stable
+                ps = L.is_pairwise_stable(inst, net).stable
                 if bse:
                     assert bne
                 if bne:

@@ -5,7 +5,9 @@
 outside the package and reads ``CostEngine._states``. A refactor that
 renames or re-signs any of them, or that evaluates optimum candidates
 without ``CostEngine.social_cost``, would silently zero the traced
-per-layer metrics; these tests fail instead.
+per-layer metrics; these tests fail instead. They also pin what the
+per-call metrics assume: one enumeration builds one engine, and run
+dynamics searches once per step through ``find_improving_move``.
 """
 
 import importlib.util
@@ -55,3 +57,28 @@ def test_tracer_counts_the_optimum_search():
     # the walk's candidates, which must go through CostEngine.social_cost
     assert tracer.counts["optimum.evals"] > 1
     assert tracer.metrics()["optimum.eval_ratio"] > 0
+
+
+def test_one_enumeration_registers_one_engine():
+    # every candidate's checks share the call's engine; a checker that
+    # built its own would register one more engine per checked candidate
+    tracer = _load_tracing().Tracer()
+    inst = L.random_instance(4, "uniform", 0, F(2))
+    with tracer.installed():
+        L.enumerate_stable(inst, "bse")
+        engines = list(tracer._engines)
+    assert tracer.metrics()["stability.check.calls"] > 1
+    assert len(engines) == 1
+
+
+def test_dynamics_spans_every_step_search():
+    # k steps to equilibrium take k + 1 searches: the last proves stability
+    tracer = _load_tracing().Tracer()
+    inst = L.random_instance(5, "uniform", 4, F(2))
+    with tracer.installed():
+        trace = L.run_dynamics(inst, L.Network.complete(5), "ps", max_steps=100)
+    steps = len(trace.steps)
+    assert trace.outcome == "equilibrium" and steps > 1
+    metrics = tracer.metrics()
+    assert metrics["dynamics.find_move.calls"] == steps + 1
+    assert metrics["dynamics.steps"] == steps
