@@ -111,39 +111,30 @@ def run_dynamics(
     seen = {start.edges: 0}
     net = start
     steps = []
-    while True:
+    outcome = note = cycle_start = None
+    while outcome is None:
         try:
             move = _next(net)
         except InconclusiveSearch as stop:
-            return Trace(
-                initial=start,
-                final=net,
-                steps=tuple(steps),
-                outcome=BUDGET_EXHAUSTED,
-                note=f"checker budget: {stop.frontier}",
-            )
+            outcome, note = BUDGET_EXHAUSTED, f"checker budget: {stop.frontier}"
+            continue
         if move is None:
-            return Trace(
-                initial=start, final=net, steps=tuple(steps), outcome=EQUILIBRIUM
-            )
-        if len(steps) == max_steps:
-            return Trace(
-                initial=start,
-                final=net,
-                steps=tuple(steps),
-                outcome=BUDGET_EXHAUSTED,
-                note=f"{max_steps} steps exhausted with moves remaining",
-            )
-        net = apply_move(net, move)
-        steps.append((move, engine.to_cost(engine.social_cost(net.edges))))
-        index = len(steps)
-        if net.edges in seen:
-            return Trace(
-                initial=start,
-                final=net,
-                steps=tuple(steps),
-                outcome=CYCLE,
-                cycle_start=seen[net.edges],
-                cycle_period=index - seen[net.edges],
-            )
-        seen[net.edges] = index
+            outcome = EQUILIBRIUM
+        elif len(steps) == max_steps:
+            outcome = BUDGET_EXHAUSTED
+            note = f"{max_steps} steps exhausted with moves remaining"
+        else:
+            net = apply_move(net, move)
+            steps.append((move, engine.to_cost(engine.social_cost(net.edges))))
+            if net.edges in seen:
+                outcome, cycle_start = CYCLE, seen[net.edges]
+            seen[net.edges] = len(steps)
+    return Trace(
+        initial=start,
+        final=net,
+        steps=tuple(steps),
+        outcome=outcome,
+        cycle_start=cycle_start,
+        cycle_period=None if cycle_start is None else len(steps) - cycle_start,
+        note=note,
+    )

@@ -5,7 +5,8 @@ cheap reference network, and the closed-form cost ratio between them. The
 generators encode reconstructions reverse-engineered from the constructions'
 cost arithmetic; verify_fixture is the authority and must confirm stability
 and the exact ratio, so a failing fixture signals a broken reconstruction
-and is never patched silently.
+and is never patched silently. What each family claims (its concepts,
+an exact or asymptotic-only ratio, a metric host) lives in FAMILIES alone.
 
 Families:
   * zero_cluster: a free clique of n-1 agents plus one remote agent whose
@@ -42,7 +43,22 @@ from .optimum import brute_force_opt
 from .scalars import cost_ratio, sqrt_exact
 from .stability import BNE, BSE, PS, Budget, check
 
-FAMILIES = ("zero_cluster", "two_tier_star", "cluster_path")
+
+@dataclass(frozen=True)
+class Family:
+    """What a fixture family claims; no fixture or bundle restates it."""
+
+    concepts: tuple  # the concepts it may claim, the default first
+    asymptotic_only: bool  # its cost ratio is not claimed exactly at desk scale
+    requires_metric: bool  # its host must satisfy the triangle inequality
+
+
+FAMILIES = {
+    "zero_cluster": Family((BSE,), asymptotic_only=False, requires_metric=False),
+    "two_tier_star": Family((PS, BNE, BSE), asymptotic_only=False, requires_metric=True),
+    "cluster_path": Family((BSE,), asymptotic_only=True, requires_metric=True),
+}
+
 # verify_fixture proves the optimum only up to this n, one below
 # optimum.OPT_LIMIT: zero-weight links defeat brute_force_opt's spend
 # prune. At n=7 on a 2.1 GHz Xeon, zero_cluster (alpha 2, 5) and
@@ -51,17 +67,37 @@ FAMILIES = ("zero_cluster", "two_tier_star", "cluster_path")
 VERIFY_OPT_LIMIT = 6
 
 
+def _family(name) -> Family:
+    if name not in FAMILIES:
+        raise LabInputError(f"unknown fixture family {name!r}; know {tuple(FAMILIES)}")
+    return FAMILIES[name]
+
+
 @dataclass(frozen=True)
 class Fixture:
+    """A family's instance, networks and ratio; the family fixes the rest."""
+
     family: str
-    variant: str
     instance: Instance
     stable_net: Network
     reference_net: Network
     claimed_concept: str
     expected_ratio: Fraction
-    ratio_is_asymptotic_only: bool
-    requires_metric: bool
+
+    def __post_init__(self):
+        concepts = _family(self.family).concepts
+        if self.claimed_concept not in concepts:
+            raise LabInputError(
+                f"{self.family} claims no {self.claimed_concept!r} concept; know {concepts}"
+            )
+
+    @property
+    def ratio_is_asymptotic_only(self) -> bool:
+        return FAMILIES[self.family].asymptotic_only
+
+    @property
+    def requires_metric(self) -> bool:
+        return FAMILIES[self.family].requires_metric
 
 
 @dataclass(frozen=True)
@@ -109,14 +145,11 @@ def gen_general_bse(n: int, alpha: Fraction) -> Fixture:
     reference = Network.from_pairs(n, cluster_tree + [(1, remote)])
     return Fixture(
         family="zero_cluster",
-        variant=BSE,
         instance=inst,
         stable_net=stable,
         reference_net=reference,
         claimed_concept=BSE,
         expected_ratio=alpha + 1,
-        ratio_is_asymptotic_only=False,
-        requires_metric=False,
     )
 
 
@@ -150,14 +183,11 @@ def gen_metric_star(n: int, alpha: Fraction, variant: str = PS) -> Fixture:
     reference = Network.from_pairs(n, [(0, 1)] + [(1, i) for i in range(2, n)])
     return Fixture(
         family="two_tier_star",
-        variant=variant,
         instance=inst,
         stable_net=stable,
         reference_net=reference,
         claimed_concept=variant,
         expected_ratio=_star_ratio(n, a, b),
-        ratio_is_asymptotic_only=False,
-        requires_metric=True,
     )
 
 
@@ -199,25 +229,24 @@ def gen_metric_path(n: int, alpha: Fraction) -> Fixture:
     reference_cost = cost_report(inst, reference).social_total
     return Fixture(
         family="cluster_path",
-        variant=BSE,
         instance=inst,
         stable_net=stable,
         reference_net=reference,
         claimed_concept=BSE,
         expected_ratio=stable_cost / reference_cost,
-        ratio_is_asymptotic_only=True,
-        requires_metric=True,
     )
 
 
 def generate(family: str, n: int, alpha: Fraction, variant: str = None) -> Fixture:
+    """``variant`` is the concept to claim, by default the family's first."""
+    concepts = _family(family).concepts
+    if variant is not None and variant not in concepts:
+        raise LabInputError(f"{family} claims no {variant!r} variant; know {concepts}")
     if family == "zero_cluster":
         return gen_general_bse(n, alpha)
     if family == "two_tier_star":
         return gen_metric_star(n, alpha, variant or PS)
-    if family == "cluster_path":
-        return gen_metric_path(n, alpha)
-    raise LabInputError(f"unknown fixture family {family!r}; know {FAMILIES}")
+    return gen_metric_path(n, alpha)
 
 
 def verify_fixture(fixture: Fixture, budget: Budget = None) -> FixtureReport:
@@ -229,25 +258,19 @@ def verify_fixture(fixture: Fixture, budget: Budget = None) -> FixtureReport:
     inst = fixture.instance
     checks = []
 
+    def add(name, passed, detail=""):
+        checks.append(FixtureCheck(name, passed, detail))
+
+    costs = []
     for name, net in (("stable_net", fixture.stable_net), ("reference_net", fixture.reference_net)):
         report = cost_report(inst, net)
-        checks.append(
-            FixtureCheck(
-                name=f"{name} connected",
-                passed=report.connected,
-                detail=f"social={report.social_total}",
-            )
-        )
+        costs.append(report.social_total)
+        add(f"{name} connected", report.connected, f"social={report.social_total}")
+    stable_cost, reference_cost = costs
 
     if fixture.requires_metric:
         mr = is_metric(inst.host)
-        checks.append(
-            FixtureCheck(
-                name="host metric",
-                passed=mr.is_metric,
-                detail="" if mr.is_metric else f"violation {mr.violation}",
-            )
-        )
+        add("host metric", mr.is_metric, "" if mr.is_metric else f"violation {mr.violation}")
 
     verdict = check(inst, fixture.stable_net, fixture.claimed_concept, budget=budget)
     detail = verdict.status
@@ -255,49 +278,26 @@ def verify_fixture(fixture: Fixture, budget: Budget = None) -> FixtureReport:
         detail += f" witness={verdict.witness}"
     if verdict.inconclusive:
         detail += f" frontier={verdict.frontier}"
-    checks.append(
-        FixtureCheck(
-            name=f"stable_net is {fixture.claimed_concept}-stable",
-            passed=verdict.stable,
-            detail=detail,
-        )
-    )
+    add(f"stable_net is {fixture.claimed_concept}-stable", verdict.stable, detail)
 
-    stable_cost = cost_report(inst, fixture.stable_net).social_total
-    reference_cost = cost_report(inst, fixture.reference_net).social_total
     ratio = cost_ratio(stable_cost, reference_cost)
     if fixture.ratio_is_asymptotic_only:
-        checks.append(
-            FixtureCheck(
-                name="cost ratio recorded (asymptotic-only claim)",
-                passed=True,
-                detail=f"ratio={ratio}",
-            )
-        )
+        add("cost ratio recorded (asymptotic-only claim)", True, f"ratio={ratio}")
     else:
-        checks.append(
-            FixtureCheck(
-                name="cost ratio exact",
-                passed=ratio == fixture.expected_ratio,
-                detail=f"ratio={ratio} expected={fixture.expected_ratio}",
-            )
-        )
+        expected = fixture.expected_ratio
+        add("cost ratio exact", ratio == expected, f"ratio={ratio} expected={expected}")
 
     if inst.n <= VERIFY_OPT_LIMIT:
         opt = brute_force_opt(inst)
-        checks.append(
-            FixtureCheck(
-                name="optimum no cheaper than reference",
-                passed=opt.cost <= reference_cost,
-                detail=f"opt={opt.cost} reference={reference_cost}",
-            )
+        add(
+            "optimum no cheaper than reference",
+            opt.cost <= reference_cost,
+            f"opt={opt.cost} reference={reference_cost}",
         )
-        ratio_vs_opt = cost_ratio(stable_cost, opt.cost)
-        checks.append(
-            FixtureCheck(
-                name="ratio vs proven optimum at least reference ratio",
-                passed=ratio_vs_opt >= ratio,
-                detail=f"vs_opt={ratio_vs_opt} vs_reference={ratio}",
-            )
+        vs_opt = cost_ratio(stable_cost, opt.cost)
+        add(
+            "ratio vs proven optimum at least reference ratio",
+            vs_opt >= ratio,
+            f"vs_opt={vs_opt} vs_reference={ratio}",
         )
     return FixtureReport(checks=tuple(checks), stability=verdict.status)

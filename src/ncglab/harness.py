@@ -251,7 +251,7 @@ class SweepConfig:
     model: str = "uniform"  # random family only
     count: int = 1  # instances per (n, alpha) cell, random family only
     seed: int = 0
-    variant: str = None  # two_tier_star only
+    variant: str = None  # fixture families: a concept the family claims
     budget: Budget = None
 
     def __post_init__(self):

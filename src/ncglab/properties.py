@@ -121,6 +121,20 @@ def _mixed_instance(rng, n, metric_only=False):
     return random_instance(n, model, rng.randrange(10**6), alpha)
 
 
+def _dominance_violation(inst, net, u, subset):
+    """The edges of ``subset`` at u in ``net`` when deleting them pays u
+    while no single deletion does; None when the property holds there."""
+    sub = [e for e in subset if e in net.edges and u in e]
+    if not sub:
+        return None
+    engine = CostEngine(inst)
+    base = engine.member_cost(net.edges, u)
+    if engine.member_cost(canonical_edges(set(net.edges) - set(sub)), u) >= base:
+        return None
+    best = best_single_removal(inst, net, u)
+    return sub if best is None or not (best[1] < 0) else None
+
+
 def check_single_removal_dominance(seed, trials):
     """If deleting any set of an agent's edges pays, one deletion pays."""
     rng = random.Random(f"single-removal-dominance:{seed}")
@@ -131,7 +145,6 @@ def check_single_removal_dominance(seed, trials):
         n = rng.randint(3, 6)
         inst = _mixed_instance(rng, n)
         net = _random_connected_network(n, rng)
-        engine = CostEngine(inst)
         u = rng.randrange(n)
         incident = sorted(e for e in net.edges if u in e)
         if not incident:
@@ -139,30 +152,16 @@ def check_single_removal_dominance(seed, trials):
         size = rng.randint(1, len(incident))
         subset = sorted(rng.sample(incident, size))
         done += 1
-        base = engine.member_cost(net.edges, u)
-        after = engine.member_cost(canonical_edges(set(net.edges) - set(subset)), u)
-        if after >= base:
-            continue
-        best = best_single_removal(inst, net, u)
-        if best is None or not (best[1] < 0):
+
+        def fails(i, g):
+            return _dominance_violation(i, g, u, subset) is not None
+
+        if fails(inst, net):
             failures += 1
             if example is None:
-
-                def fails(i, g):
-                    e2 = CostEngine(i)
-                    inc = sorted(e for e in g.edges if u in e)
-                    sub = [e for e in subset if e in inc]
-                    if not sub:
-                        return False
-                    b = e2.member_cost(g.edges, u)
-                    a = e2.member_cost(canonical_edges(set(g.edges) - set(sub)), u)
-                    if a >= b:
-                        return False
-                    bs = best_single_removal(i, g, u)
-                    return bs is None or not (bs[1] < 0)
-
                 si, sg = shrink_counterexample(inst, net, fails)
-                example = f"agent={u} subset={subset} {_describe(si, sg)}"
+                shrunk = _dominance_violation(si, sg, u, subset)
+                example = f"agent={u} subset={shrunk} {_describe(si, sg)}"
     return PropertyResult(
         name="single-removal dominance",
         trials=done,

@@ -197,11 +197,9 @@ def fixture_to_json(fixture: Fixture) -> str:
         {
             "version": INSTANCE_VERSION,
             "family": fixture.family,
-            "variant": fixture.variant,
             "concept": fixture.claimed_concept.upper(),
+            **_family_claims(fixture),
             "expected_ratio": format_rational(fixture.expected_ratio),
-            "asymptotic_only": fixture.ratio_is_asymptotic_only,
-            "requires_metric": fixture.requires_metric,
             "instance": _instance_payload(fixture.instance),
             "stable_net": _network_payload(fixture.stable_net),
             "reference_net": _network_payload(fixture.reference_net),
@@ -209,27 +207,38 @@ def fixture_to_json(fixture: Fixture) -> str:
     )
 
 
+def _family_claims(fixture) -> dict:
+    """The bundle fields that restate what the fixture's family claims."""
+    return {
+        "variant": fixture.claimed_concept,
+        "asymptotic_only": fixture.ratio_is_asymptotic_only,
+        "requires_metric": fixture.requires_metric,
+    }
+
+
 def fixture_from_json(text: str) -> Fixture:
     return _load(text, "fixture", _fixture)
 
 
 def _fixture(data) -> Fixture:
+    """A bundle whose family claims its concept; any restated claim must match."""
     inst = _instance(data["instance"])
     n = inst.n
-    concept = str(data["concept"]).lower()
-    if concept not in CONCEPTS:
-        raise LabInputError(f"unknown fixture concept {data['concept']!r}")
-    return Fixture(
+    fixture = Fixture(
         family=data["family"],
-        variant=data.get("variant"),
         instance=inst,
         stable_net=_network(data["stable_net"], n),
         reference_net=_network(data["reference_net"], n),
-        claimed_concept=concept,
+        claimed_concept=str(data["concept"]).lower(),
         expected_ratio=_rational(data["expected_ratio"], "expected_ratio"),
-        ratio_is_asymptotic_only=_bool(data["asymptotic_only"], "asymptotic_only"),
-        requires_metric=_bool(data.get("requires_metric", False), "requires_metric"),
     )
+    for key, claimed in _family_claims(fixture).items():
+        stated = data.get(key, claimed)
+        if isinstance(claimed, bool):
+            _bool(stated, key)
+        if stated != claimed:
+            raise LabInputError(f"fixture {key} {stated!r} is not {fixture.family}'s {claimed!r}")
+    return fixture
 
 
 # -- traces ----------------------------------------------------------------------

@@ -236,6 +236,29 @@ def test_fixture_flags_must_be_json_booleans(tmp_path, capsys, flag, value):
     assert f"{flag} must be a JSON boolean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "gen, edit",
+    [
+        (["zero_cluster"], {"expected_ratio": "7", "asymptotic_only": True}),
+        (["two_tier_star", "--variant", "ps"], {"requires_metric": False}),
+        (["zero_cluster"], {"family": "nope"}),
+        (["zero_cluster"], {"family": 7}),
+        (["zero_cluster"], {"variant": 3}),
+        (["zero_cluster"], {"variant": "ps"}),
+        (["zero_cluster"], {"concept": "PS"}),
+    ],
+    ids=lambda x: json.dumps(x) if isinstance(x, dict) else x[0],
+)
+def test_bundle_cannot_restate_its_family_claims(tmp_path, capsys, gen, edit):
+    # the family, not the bundle, decides which checks verify-fixture runs
+    bundle = tmp_path / "b.json"
+    assert main(["gen", *gen, "--n", "5", "--alpha", "4", "--out", str(bundle)]) == 0
+    assert main(["verify-fixture", str(bundle)]) == 0
+    bundle.write_text(json.dumps(json.loads(bundle.read_text()) | edit))
+    assert main(["verify-fixture", str(bundle)]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
 class TestOpt:
     def test_writes_proven_optimum(self, workdir, tmp_path):
         out = tmp_path / "opt.json"
@@ -263,6 +286,12 @@ class TestGenAndVerify:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_gen_refuses_a_variant_the_family_lacks(self, capsys):
+        gen = ["gen", "zero_cluster", "--n", "4", "--alpha", "2", "--variant"]
+        assert main(gen + ["ps"]) == 3
+        assert "zero_cluster claims no 'ps' variant" in capsys.readouterr().err
+        assert main(gen + ["bse"]) == 0
 
     def test_gen_rejects_bad_alpha(self, tmp_path):
         rc = main(["gen", "cluster_path", "--n", "6", "--alpha", "35"])
@@ -366,6 +395,19 @@ class TestSweep:
         row = json.loads(lines[0])
         assert row["ratio"] == "2"
         assert "zero_cluster" in capsys.readouterr().out
+
+    def test_variant_the_family_lacks_exits_three(self, tmp_path, capsys):
+        cfg = {
+            "family": "zero_cluster",
+            "concept": "bse",
+            "n_values": [4],
+            "alphas": ["2"],
+            "variant": "ps",
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", str(cfg_path)]) == 3
+        assert "zero_cluster claims no 'ps' variant" in capsys.readouterr().err
 
     def test_malformed_config_exits_three(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,8 +1,12 @@
+import json
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
 
 import ncglab as L
+import ncglab.fixtures as FX
+from ncglab import serialize as S
 from ncglab.errors import AlphaNotSquare, LabInputError
 
 
@@ -122,16 +126,8 @@ class TestVerifyFixture:
 
     def test_corrupted_fixture_is_flagged(self):
         fx = L.gen_general_bse(4, F(2))
-        broken = L.Fixture(
-            family=fx.family,
-            variant=fx.variant,
-            instance=fx.instance,
-            stable_net=L.Network(n=4, edges=fx.stable_net.edges[1:]),  # drop an edge
-            reference_net=fx.reference_net,
-            claimed_concept=fx.claimed_concept,
-            expected_ratio=fx.expected_ratio,
-            ratio_is_asymptotic_only=fx.ratio_is_asymptotic_only,
-            requires_metric=fx.requires_metric,
+        broken = replace(
+            fx, stable_net=L.Network(n=4, edges=fx.stable_net.edges[1:])  # drop an edge
         )
         report = L.verify_fixture(broken)
         assert not report.ok
@@ -142,16 +138,8 @@ class TestVerifyFixture:
         # every network costs 0, so both ratios are 0/0: equal sides give 1
         fx = L.gen_general_bse(4, F(2))
         zero = [[F(0)] * 4 for _ in range(4)]
-        bundle = L.Fixture(
-            family=fx.family,
-            variant=fx.variant,
-            instance=L.Instance(host=L.validate_host(zero), alpha=fx.instance.alpha),
-            stable_net=fx.stable_net,
-            reference_net=fx.reference_net,
-            claimed_concept=fx.claimed_concept,
-            expected_ratio=fx.expected_ratio,
-            ratio_is_asymptotic_only=fx.ratio_is_asymptotic_only,
-            requires_metric=fx.requires_metric,
+        bundle = replace(
+            fx, instance=L.Instance(host=L.validate_host(zero), alpha=fx.instance.alpha)
         )
         report = L.verify_fixture(bundle)
         failed = {c.name for c in report.checks if not c.passed}
@@ -172,7 +160,88 @@ class TestVerifyFixture:
 class TestGenerateDispatch:
     def test_families(self):
         assert L.generate("zero_cluster", 4, F(2)).family == "zero_cluster"
-        assert L.generate("two_tier_star", 5, F(4), "ps").variant == "ps"
+        assert L.generate("two_tier_star", 5, F(4), "ps").claimed_concept == "ps"
         assert L.generate("cluster_path", 6, F(36)).family == "cluster_path"
         with pytest.raises(LabInputError):
             L.generate("nope", 4, F(1))
+        with pytest.raises(LabInputError, match="claims no 'ps' variant"):
+            L.generate("zero_cluster", 4, F(2), "ps")
+        with pytest.raises(LabInputError, match="claims no 'bne' variant"):
+            L.generate("cluster_path", 6, F(36), "bne")
+        assert L.generate("cluster_path", 6, F(36), "bse").claimed_concept == "bse"
+
+
+class TestFamilyClaims:
+    def test_the_table_names_each_familys_claims(self):
+        assert [f.name for f in fields(L.Fixture)] == [
+            "family",
+            "instance",
+            "stable_net",
+            "reference_net",
+            "claimed_concept",
+            "expected_ratio",
+        ]
+        claims = {
+            name: (f.concepts, f.asymptotic_only, f.requires_metric)
+            for name, f in L.FAMILIES.items()
+        }
+        assert claims == {
+            "zero_cluster": (("bse",), False, False),
+            "two_tier_star": (("ps", "bne", "bse"), False, True),
+            "cluster_path": (("bse",), True, True),
+        }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"family": "nope"},
+            {"family": 7},
+            {"claimed_concept": "ps"},
+            {"claimed_concept": "xx"},
+            {"family": "cluster_path", "claimed_concept": "ps"},
+        ],
+        ids=repr,
+    )
+    def test_fixture_refuses_what_its_family_does_not_claim(self, change):
+        with pytest.raises(LabInputError):
+            replace(L.gen_general_bse(4, F(2)), **change)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"asymptotic_only": True},
+            {"requires_metric": True},
+            {"variant": "ps"},
+            {"variant": 3},
+            {"variant": None},
+            {"concept": "PS"},
+            {"family": "two_tier_star"},
+        ],
+        ids=repr,
+    )
+    def test_loader_refuses_a_bundle_restating_a_claim_differently(self, edit):
+        data = json.loads(S.fixture_to_json(L.gen_general_bse(4, F(2))))
+        with pytest.raises(LabInputError):
+            S.fixture_from_json(json.dumps(data | edit))
+
+    def test_loader_takes_omitted_claims_from_the_family(self):
+        fx = L.gen_metric_path(6, F(36))
+        text = S.fixture_to_json(fx)
+        data = json.loads(text)
+        for key in ("variant", "asymptotic_only", "requires_metric"):
+            del data[key]
+        back = S.fixture_from_json(json.dumps(data))
+        assert back == fx and S.fixture_to_json(back) == text
+        assert back.ratio_is_asymptotic_only and back.requires_metric
+
+    def test_verify_prices_each_network_once(self, monkeypatch):
+        calls = []
+
+        def counting(inst, net):
+            calls.append(net)
+            return L.cost_report(inst, net)
+
+        monkeypatch.setattr(FX, "cost_report", counting)
+        fx = L.gen_general_bse(4, F(2))
+        assert L.verify_fixture(fx).ok
+        assert calls == [fx.stable_net, fx.reference_net]

@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -402,3 +404,33 @@ class TestPropertySuite:
         small_inst, small_net = shrink_counterexample(inst, net, fails)
         assert small_net.edges == ((0, 1),)
         assert small_inst.n == 2
+
+    def test_dominance_counterexample_holds_on_the_printed_instance(self, monkeypatch):
+        # a wrong oracle: no single removal pays for an agent of degree >= 2
+        real = P.best_single_removal
+
+        def wrong(inst, net, u):
+            return None if sum(u in e for e in net.edges) >= 2 else real(inst, net, u)
+
+        monkeypatch.setattr(P, "best_single_removal", wrong)
+        pattern = r"agent=(\d+) subset=(\[.*?\]) alpha=(\S+) weights=(\[.*\]) edges=(\[.*\])"
+        failing = 0
+        for seed in range(40):
+            result = P.check_single_removal_dominance(seed, 25)
+            if not result.failures:
+                continue
+            failing += 1
+            agent, subset, alpha, weights, edges = re.fullmatch(
+                pattern, result.counterexample
+            ).groups()
+            u = int(agent)
+            subset, edges = ast.literal_eval(subset), ast.literal_eval(edges)
+            w = [[F(x) for x in row] for row in ast.literal_eval(weights)]
+            inst = L.Instance(host=L.validate_host(w), alpha=F(alpha))
+            net = L.Network.from_pairs(len(w), edges)
+            assert subset and all(e in net.edges and u in e for e in subset)
+            rest = L.Network.from_pairs(len(w), [e for e in edges if e not in subset])
+            after = L.cost_report(inst, rest).totals[u]
+            assert after < L.cost_report(inst, net).totals[u]
+            assert wrong(inst, net, u) is None
+        assert failing > 0
