@@ -14,11 +14,23 @@ tuple), each source's distance row and its sum, both computed the first
 time they are read, because coalition enumeration revisits the same
 candidate networks many times through different coalitions; per engine,
 the full host's distance rows and their sums, which every dead-agent and
-spend-cap bound reads. ``social_after_add`` reuses the cached sums of the
-rows a new edge leaves unchanged, which ``rows_after_add`` returns as the
-same objects. Each cost method looks its state up once per call. No
-public entry point takes an engine: each builds its own, so the memo
-lives exactly as long as that one call.
+spend-cap bound reads. A state's rows may also be filled from another
+state's: ``fill_after_remove`` fills the rows of a network minus one edge
+from the network's own. Each cost method looks its state up once per
+call. No public entry point takes an engine: each builds its own, so the
+memo lives exactly as long as that one call.
+
+Two one-edge kernels turn exact rows into exact rows. ``rows_after_add``
+relaxes every row against an endpoint's old row. ``rows_after_remove``,
+its decremental twin (after Ramalingam and Reps, J. Algorithms 1996),
+runs one Dijkstra from an endpoint without the edge: if the other
+endpoint is out of reach the edge was a bridge, and every row is the old
+one with ``inf`` across the cut; otherwise only the sources whose
+shortest paths may use the edge are run again. The plain second rule
+alone re-runs almost every row of a near-tree network, where most edges
+are bridges. Both kernels return each row they leave unchanged as the
+same object, so its cached sum carries over: ``social_after_add`` and
+``fill_after_remove`` reuse it.
 """
 
 from fractions import Fraction
@@ -95,6 +107,14 @@ class CostEngine:
         if s is None:
             s = st.sums[u] = sum(self._row(st, u))
         return s
+
+    def _filled(self, st: _NetState):
+        """The state's ``rows`` and ``sums`` lists, every entry filled."""
+        sums = st.sums
+        for u in range(self.n):
+            if sums[u] is None:
+                sums[u] = sum(self._row(st, u))
+        return st.rows, sums
 
     def row(self, key: tuple, u: int):
         return self._row(self.state(key), u)
@@ -192,10 +212,69 @@ class CostEngine:
     def social_after_add(self, key: tuple, u: int, v: int):
         """Social cost of the network plus edge {u,v}, by ``rows_after_add``
         from the network's rows; each unchanged row keeps its cached sum."""
-        st = self.state(key)
-        rows = [self._row(st, x) for x in range(self.n)]
+        rows, sums = self._filled(self.state(key))
         dist_part = 0
-        for x, rx in enumerate(self.rows_after_add(rows, u, v)):
-            dist_part += self._sum(st, x) if rx is rows[x] else sum(rx)
+        for rx, old, s in zip(self.rows_after_add(rows, u, v), rows, sums):
+            dist_part += s if rx is old else sum(rx)
         edge_part = sum(self.W[a][b] for a, b in key) + self.W[u][v]
         return 2 * self.p * edge_part + self.q * dist_part
+
+    def rows_after_remove(self, rows, adj, u, v):
+        """All distance rows after removing edge {u,v} of weight w, from the
+        exact rows before it; ``adj`` is the adjacency without the edge.
+
+        One Dijkstra run from u over ``adj`` decides between two rules.
+
+        Bridge rule: v is out of u's reach, so uv was the only link
+        between u's side (where u's new row is finite) and v's side (the
+        rest of their old component). A path between two nodes of one
+        side that used uv would have to cross the cut twice, over the one
+        edge uv, so it is no simple path: every distance within a side
+        stays, and the new row of a node on either side is its old row
+        with ``inf`` on the other side. No other Dijkstra runs.
+
+        Affected-row rule: otherwise only a source x with a shortest path
+        through uv can change, and such a path reaches u or v first, so
+        ``d(x,v) == d(x,u) + w`` or ``d(x,u) == d(x,v) + w``. Those rows
+        are run again over ``adj`` (u's is the one already run); a source
+        that reaches neither endpoint keeps its row. Every row that no
+        rule changes is returned as the same list object, as in
+        ``rows_after_add``.
+        """
+        ru = self._dijkstra(adj, u)
+        if ru[v] == INF:
+            old = rows[u]
+            near = [a != INF for a in ru]
+            far = [a != INF and not c for a, c in zip(old, near)]
+            out = []
+            for x, rx in enumerate(rows):
+                if rx[u] != INF:
+                    cut = far if near[x] else near
+                    rx = [INF if c else a for a, c in zip(rx, cut)]
+                out.append(rx)
+            return out
+        w = self.W[u][v]
+        out = []
+        for x, rx in enumerate(rows):
+            du, dv = rx[u], rx[v]
+            if du != INF and (dv == du + w or du == dv + w):
+                rx = ru if x == u else self._dijkstra(adj, x)
+            out.append(rx)
+        return out
+
+    def fill_after_remove(self, key: tuple, smaller: tuple, u: int, v: int):
+        """Distance rows of ``smaller``, the network minus edge {u,v}, by
+        ``rows_after_remove`` from the network's rows. They fill the smaller
+        state's empty rows, and each row the removal leaves unchanged
+        keeps the network's cached sum."""
+        st = self.state(smaller)
+        if None not in st.rows:
+            return st.rows
+        rows, sums = self._filled(self.state(key))
+        new = self.rows_after_remove(rows, st.adj, u, v)
+        for x, rx in enumerate(new):
+            if st.rows[x] is None:
+                st.rows[x] = rx
+                if rx is rows[x]:
+                    st.sums[x] = sums[x]
+        return new

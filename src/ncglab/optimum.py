@@ -161,6 +161,14 @@ def _local_search(engine, start_key):
     at least the best cost so far is skipped unpriced: it cannot strictly
     improve on that cost, and the best cost only falls during the step, so
     the move each step picks, and the result, stay the same.
+
+    A drop's rows are not computed afresh: ``fill_after_remove`` fills the
+    empty rows of G - e from G's, and the swaps after it price G - e + f
+    from those rows. When e = uv is a bridge, G - e falls into its two sides,
+    which u's new row tells apart (finite on u's side, ``inf`` on v's),
+    and a swap f with both ends on one side leaves G - e + f
+    disconnected. Its cost is ``inf``, which improves on no cost, so it is
+    skipped unpriced too, and every descent stays the same.
     """
     pairs = _all_pairs(engine.n)
     two_p = 2 * engine.p
@@ -178,12 +186,16 @@ def _local_search(engine, start_key):
                 best_cost, best_key = c, canonical_edges(eset | {e})
         for e in key:
             smaller = canonical_edges(eset - {e})
+            near = engine.fill_after_remove(key, smaller, *e)[e[0]]
             c = engine.social_cost(smaller)
             if c < best_cost:
                 best_cost, best_key = c, smaller
+            bridge = is_inf(near[e[1]])
             dropped = two_p * engine.W[e[0]][e[1]]
             for f, add_cost in zip(non_edges, add_costs):
                 if add_cost - dropped >= best_cost:
+                    continue
+                if bridge and is_inf(near[f[0]]) == is_inf(near[f[1]]):
                     continue
                 c2 = engine.social_after_add(smaller, f[0], f[1])
                 if c2 < best_cost:

@@ -3,7 +3,8 @@
 Each property draws its own deterministic stream of instances and
 networks and counts violations. Single-removal dominance also shrinks its
 first counterexample by greedily dropping edges, then nodes, while the
-failure persists; the others report theirs as drawn. A clean
+failure persists for the trial's agent and subset, which it prints under
+the shrunk instance's labels; the others report theirs as drawn. A clean
 run is a (statistical) certificate that the exact checkers, the cost
 identities, and the proven structural bounds agree on random data.
 """
@@ -88,12 +89,22 @@ def _drop_node(inst, net, x):
 
 def shrink_counterexample(inst, net, fails):
     """Greedy shrink: drop edges, then nodes, while fails(inst, net) holds."""
+    inst, net, _ = _shrink_labelled(inst, net, lambda i, g, labels: fails(i, g))
+    return inst, net
+
+
+def _shrink_labelled(inst, net, fails):
+    """``shrink_counterexample`` for a predicate ``fails(inst, net, labels)``
+    where ``labels[i]`` is the node of the first instance that node i of
+    the shrunk one is; dropping a node renumbers the nodes above it.
+    Returns the shrunk instance, network and labels."""
+    labels = tuple(range(inst.n))
     changed = True
     while changed:
         changed = False
         for e in net.edges:
             cand = Network(n=net.n, edges=canonical_edges(set(net.edges) - {e}))
-            if fails(inst, cand):
+            if fails(inst, cand, labels):
                 net = cand
                 changed = True
                 break
@@ -102,11 +113,12 @@ def shrink_counterexample(inst, net, fails):
         changed = False
         for x in range(inst.n):
             sub_inst, sub_net = _drop_node(inst, net, x)
-            if fails(sub_inst, sub_net):
-                inst, net = sub_inst, sub_net
+            sub_labels = labels[:x] + labels[x + 1 :]
+            if fails(sub_inst, sub_net, sub_labels):
+                inst, net, labels = sub_inst, sub_net, sub_labels
                 changed = True
                 break
-    return inst, net
+    return inst, net, labels
 
 
 def _describe(inst, net):
@@ -153,15 +165,23 @@ def check_single_removal_dominance(seed, trials):
         subset = sorted(rng.sample(incident, size))
         done += 1
 
-        def fails(i, g):
-            return _dominance_violation(i, g, u, subset) is not None
+        def violation(i, g, labels):
+            # u and subset under the labels of the shrunk instance i
+            if u not in labels:
+                return None
+            index = {x: k for k, x in enumerate(labels)}
+            sub = [(index[a], index[b]) for a, b in subset if a in index and b in index]
+            return _dominance_violation(i, g, index[u], sub)
 
-        if fails(inst, net):
+        def fails(i, g, labels):
+            return violation(i, g, labels) is not None
+
+        if fails(inst, net, range(n)):
             failures += 1
             if example is None:
-                si, sg = shrink_counterexample(inst, net, fails)
-                shrunk = _dominance_violation(si, sg, u, subset)
-                example = f"agent={u} subset={shrunk} {_describe(si, sg)}"
+                si, sg, labels = _shrink_labelled(inst, net, fails)
+                shrunk = violation(si, sg, labels)
+                example = f"agent={labels.index(u)} subset={shrunk} {_describe(si, sg)}"
     return PropertyResult(
         name="single-removal dominance",
         trials=done,

@@ -1,5 +1,6 @@
-"""The engine's one-edge-add kernels against pricing the bigger network
-afresh, and the engine's absence from the public signatures."""
+"""The engine's one-edge add and removal kernels against pricing the
+changed network afresh, and the engine's absence from the public
+signatures."""
 
 import inspect
 import random
@@ -56,6 +57,54 @@ class TestAddKernels:
         assert checked > 7_000
         assert disconnected > 400
         assert zero_links >= 24
+
+
+class TestRemoveKernel:
+    def test_matches_the_network_without_the_edge(self, monkeypatch):
+        runs = []
+        dijkstra = CostEngine._dijkstra
+
+        def counted(self, adj, source):
+            runs.append(source)
+            return dijkstra(self, adj, source)
+
+        monkeypatch.setattr(CostEngine, "_dijkstra", counted)
+        rng = random.Random(8)
+        checked = bridges = split_keys = zero_links = kept = 0
+        for inst in instances():
+            n = inst.n
+            engine = CostEngine(inst)
+            seeded = CostEngine(inst)
+            for key in keys(n, rng):
+                rows = [engine.row(key, x) for x in range(n)]
+                connected = not is_inf(engine.social_cost(key))
+                for u, v in key:
+                    w = engine.W[u][v]
+                    smaller = tuple(e for e in key if e != (u, v))
+                    runs.clear()
+                    out = engine.rows_after_remove(rows, engine.state(smaller).adj, u, v)
+                    ran = len(runs)
+                    assert out == [engine.row(smaller, x) for x in range(n)]
+                    # a row from which no shortest path uses uv comes back as
+                    # the same object; so does a row that reaches neither end
+                    for rx, new in zip(rows, out):
+                        if is_inf(rx[u]) or (rx[v] < rx[u] + w and rx[u] < rx[v] + w):
+                            assert new is rx
+                            kept += 1
+                    if is_inf(out[u][v]):
+                        assert ran == 1  # the bridge rule runs u's row only
+                        bridges += 1
+                    elif not connected:
+                        split_keys += 1
+                    zero_links += w == 0
+                    seeded.fill_after_remove(key, smaller, u, v)
+                    assert seeded.social_cost(smaller) == engine.social_cost(smaller)
+                    checked += 1
+        assert checked > 8_000
+        assert bridges > 900
+        assert split_keys > 200
+        assert zero_links > 1_000
+        assert kept > 20_000
 
 
 def test_no_public_call_takes_an_engine():

@@ -2,6 +2,7 @@ import ast
 import random
 import re
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,20 @@ def zero_spanned_instance():
     """Zero-weight links span this host, so its optimum costs 0."""
     h = L.validate_host([[F(x) for x in r] for r in [[0, 0, 1], [0, 0, 0], [1, 0, 0]]])
     return L.Instance(host=h, alpha=F(1))
+
+
+COUNTEREXAMPLE = re.compile(
+    r"agent=(\d+) subset=(\[.*?\]) alpha=(\S+) weights=(\[.*\]) edges=(\[.*\])"
+)
+
+
+def printed_counterexample(text):
+    """Agent, subset, instance and network of a printed dominance counterexample."""
+    agent, subset, alpha, weights, edges = COUNTEREXAMPLE.fullmatch(text).groups()
+    w = [[F(x) for x in row] for row in ast.literal_eval(weights)]
+    inst = L.Instance(host=L.validate_host(w), alpha=F(alpha))
+    net = L.Network.from_pairs(len(w), ast.literal_eval(edges))
+    return int(agent), ast.literal_eval(subset), inst, net
 
 
 def unit_instance(n, alpha):
@@ -405,7 +420,8 @@ class TestPropertySuite:
         assert small_net.edges == ((0, 1),)
         assert small_inst.n == 2
 
-    def test_dominance_counterexample_holds_on_the_printed_instance(self, monkeypatch):
+    @pytest.fixture
+    def wrong_oracle(self, monkeypatch):
         # a wrong oracle: no single removal pays for an agent of degree >= 2
         real = P.best_single_removal
 
@@ -413,24 +429,56 @@ class TestPropertySuite:
             return None if sum(u in e for e in net.edges) >= 2 else real(inst, net, u)
 
         monkeypatch.setattr(P, "best_single_removal", wrong)
-        pattern = r"agent=(\d+) subset=(\[.*?\]) alpha=(\S+) weights=(\[.*\]) edges=(\[.*\])"
+        return wrong
+
+    def test_dominance_counterexample_holds_on_the_printed_instance(self, wrong_oracle):
         failing = 0
         for seed in range(40):
             result = P.check_single_removal_dominance(seed, 25)
             if not result.failures:
                 continue
             failing += 1
-            agent, subset, alpha, weights, edges = re.fullmatch(
-                pattern, result.counterexample
-            ).groups()
-            u = int(agent)
-            subset, edges = ast.literal_eval(subset), ast.literal_eval(edges)
-            w = [[F(x) for x in row] for row in ast.literal_eval(weights)]
-            inst = L.Instance(host=L.validate_host(w), alpha=F(alpha))
-            net = L.Network.from_pairs(len(w), edges)
+            u, subset, inst, net = printed_counterexample(result.counterexample)
             assert subset and all(e in net.edges and u in e for e in subset)
-            rest = L.Network.from_pairs(len(w), [e for e in edges if e not in subset])
+            rest = L.Network.from_pairs(inst.n, [e for e in net.edges if e not in subset])
             after = L.cost_report(inst, rest).totals[u]
             assert after < L.cost_report(inst, net).totals[u]
-            assert wrong(inst, net, u) is None
+            assert wrong_oracle(inst, net, u) is None
         assert failing > 0
+
+    def test_dominance_counterexample_names_the_trials_agent(self, wrong_oracle, monkeypatch):
+        # the shrink renumbers the nodes it keeps; the printed agent and
+        # subset must be the trial's, under the printed instance's labels
+        trials = []
+        violation = P._dominance_violation
+
+        def recorded(inst, net, u, subset):
+            found = violation(inst, net, u, subset)
+            if found is not None and not trials:
+                trials.append((inst, u, subset))
+            return found
+
+        monkeypatch.setattr(P, "_dominance_violation", recorded)
+        relabelled = 0
+        for seed in range(40):
+            trials.clear()
+            result = P.check_single_removal_dominance(seed, 25)
+            if not result.failures:
+                continue
+            drawn, u, subset = trials[0]
+            agent, printed_subset, inst, _ = printed_counterexample(result.counterexample)
+            assert inst.alpha == drawn.alpha
+            w, dw = inst.host.weights, drawn.host.weights
+            nodes = range(inst.n)
+            embeddings = [
+                m
+                for m in permutations(range(drawn.n), inst.n)
+                if all(w[i][j] == dw[m[i]][m[j]] for i in nodes for j in nodes)
+            ]
+            assert any(
+                m[agent] == u
+                and all(tuple(sorted((m[a], m[b]))) in subset for a, b in printed_subset)
+                for m in embeddings
+            ), seed
+            relabelled += agent != u
+        assert relabelled > 0

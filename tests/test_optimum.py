@@ -326,6 +326,13 @@ class TestLocalSearch:
             for n in range(4, 8)
             for alpha in (F(1, 4), F(2), F(7))
         ]
+        # near-tree descents, where most dropped edges are bridges
+        instances += [
+            L.random_instance(8, model, seed, alpha)
+            for model in ("tree", "euclidean")
+            for seed in (0, 1)
+            for alpha in (F(1, 4), F(2), F(7))
+        ]
         for inst in instances:
             engine = CostEngine(inst)
             rng = random.Random(0)
@@ -334,6 +341,19 @@ class TestLocalSearch:
             reference = CostEngine(inst)
             for start in starts:
                 assert _local_search(engine, start) == reference_descent(reference, start)
+
+    def test_drops_reuse_the_rows_of_the_network(self, monkeypatch):
+        # each drop priced from a fresh state took n Dijkstra runs: 2,950 here
+        runs = []
+        dijkstra = CostEngine._dijkstra
+
+        def counted(self, adj, source):
+            runs.append(source)
+            return dijkstra(self, adj, source)
+
+        monkeypatch.setattr(CostEngine, "_dijkstra", counted)
+        L.heuristic_opt(L.random_instance(10, "tree", 0, 2))
+        assert len(runs) <= 1_500
 
 
 class TestOptSpannerCheck:

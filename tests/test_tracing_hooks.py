@@ -59,6 +59,22 @@ def test_tracer_counts_the_optimum_search():
     assert tracer.metrics()["optimum.eval_ratio"] > 0
 
 
+def test_tracer_counts_the_local_search():
+    # opt_n7's per-layer metrics are mostly heuristic_opt's local search,
+    # which prices adds and swaps by social_after_add and drops from the
+    # states it fills
+    tracer = _load_tracing().Tracer()
+    original = L.heuristic_opt
+    inst = L.random_instance(6, "uniform", 0, F(2))
+    with tracer.installed(), tracer.root("heuristic_opt"):
+        L.heuristic_opt(inst)
+    assert L.heuristic_opt is original
+    metrics = tracer.metrics()
+    assert metrics["engine.social_after_add.calls"] > 0
+    assert metrics["engine.dijkstra.calls"] > 0
+    assert metrics["engine.state.built"] > 0
+
+
 def test_one_enumeration_registers_one_engine():
     # every candidate's checks share the call's engine; a checker that
     # built its own would register one more engine per checked candidate
