@@ -89,32 +89,24 @@ def run_dynamics(
     policy: str = FIRST_FOUND,
     max_steps: int = 100,
     budget=None,
-    _mover=None,
 ) -> Trace:
     """Iterate improving moves until equilibrium, a revisit, or exhaustion.
 
-    Moves found by the built-in policies strictly improve their coalitions
-    by construction, so every recorded step replays as a valid improving
-    move. ``_mover`` is an instrumentation hook (tests drive the loop with
-    a scripted ``_mover(inst, net)``); suppliers of a custom mover take
-    over that guarantee themselves. Each step's search builds its own engine.
+    Each step takes the move ``find_improving_move`` finds. Moves found by
+    the built-in policies strictly improve their coalitions by
+    construction, so every recorded step replays as a valid improving
+    move. Each step's search builds its own engine.
     """
     if max_steps < 0:
         raise LabInputError("max_steps must be >= 0")
     engine = CostEngine(inst)
-
-    def _next(current):
-        if _mover is not None:
-            return _mover(inst, current)
-        return find_improving_move(inst, current, concept, policy, budget=budget)
-
     seen = {start.edges: 0}
     net = start
     steps = []
     outcome = note = cycle_start = None
     while outcome is None:
         try:
-            move = _next(net)
+            move = find_improving_move(inst, net, concept, policy, budget=budget)
         except InconclusiveSearch as stop:
             outcome, note = BUDGET_EXHAUSTED, f"checker budget: {stop.frontier}"
             continue

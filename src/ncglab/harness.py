@@ -23,7 +23,7 @@ from .optimum import (
 )
 from .randomgen import random_instance
 from .scalars import cost_ratio, format_rational, is_inf
-from .stability import BNE, BSE, PS, Budget, _run_checker, ps_prefilter, require_concept
+from .stability import BNE, BSE, CONCEPTS, PS, Budget, _run_checker, ps_prefilter, require_concept
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
 # Beyond ENUM_LIMITS, the worst stable cost is sampled from this many
@@ -40,12 +40,10 @@ class EnumerationResult:
     worst: Network
     worst_cost: Fraction
     complete: bool
+    # connected candidates the walk visited, refuted or checked: the same
+    # in both modes, however early worst-only mode stops checking
     checked: int
     inconclusive: int
-
-
-def _concept_chain(concept):
-    return {PS: (PS,), BNE: (PS, BNE), BSE: (PS, BNE, BSE)}[concept]
 
 
 def enumerate_stable(
@@ -68,65 +66,56 @@ def enumerate_stable(
     each network's exact distance rows (``stability.ps_prefilter``), so
     every social cost is read off the walk. Containment filtering is an
     optimization; disable it to cross-validate the checkers independently.
-    It refutes a candidate by the ps prefilter, which no bne- or
-    bse-stable network fails either, and then runs the checkers ps, bne
+    It drops a candidate that the ps prefilter refutes, as no bne- or
+    bse-stable network fails it either, and then runs the checkers ps, bne
     and bse in turn up to the concept, stopping at the first that does
     not find the candidate stable. Without it, each candidate goes to the
-    concept's checker alone. ``checked`` counts every candidate visited,
-    refuted or checked.
+    concept's checker alone. ``checked`` counts every connected candidate
+    the walk visits, refuted or checked, in both modes.
 
-    In worst-only mode candidates are visited in descending cost order and
-    the scan stops at the first stable network, which is then the worst;
-    the sort holds keys and costs, not distance rows. Otherwise they are
-    streamed from the walk in edge-tuple order, never held in one list.
+    Full mode streams the surviving candidates from the walk in edge-tuple
+    order, never holding them in one list. Worst-only mode holds the
+    survivors' keys and costs, not their distance rows, and checks them in
+    descending cost order, stopping at the first stable network, which is
+    then the worst.
     """
     require_concept(concept)
     limit = ENUM_LIMITS[concept]
     if inst.n > limit:
         raise InstanceTooLarge(inst.n, limit, f"{concept} enumeration")
     engine = CostEngine(inst)
-    chain = _concept_chain(concept) if use_containment else (concept,)
+    chain = CONCEPTS[: CONCEPTS.index(concept) + 1] if use_containment else (concept,)
     root, step = ps_prefilter(engine)
     two_p, q = 2 * engine.p, engine.q
-    candidates = (
-        (key, use_containment and refuted, two_p * spend + q * sum(sums))
-        for key, (_, sums, _, spend, refuted) in connected_subgraphs(inst.n, step, root)
-    )
+    checked = 0
+
+    def survivors():
+        nonlocal checked
+        for key, (_, sums, _, spend, refuted) in connected_subgraphs(inst.n, step, root):
+            checked += 1
+            if not (use_containment and refuted):
+                yield key, two_p * spend + q * sum(sums)
+
+    candidates = survivors()
     if worst_only:
-        candidates = sorted(candidates, key=lambda c: (-c[2], c[0]))
+        candidates = sorted(candidates, key=lambda c: (-c[1], c[0]))
     stable = []
     inconclusive = 0
-    checked = 0
-    worst = None
-    worst_cost = None
-    for key, refuted, cost in candidates:
-        checked += 1
-        if refuted:
-            continue
+    worst = worst_cost = None
+    for key, cost in candidates:
         net = Network(n=inst.n, edges=key)
-        verdict = None
         for level in chain:
             verdict = _run_checker(inst, net, level, budget, engine)
             if not verdict.stable:
                 break
         if verdict.inconclusive:
             inconclusive += 1
-            continue
-        if not verdict.stable:
-            continue
-        if worst_only:
-            return EnumerationResult(
-                concept=concept,
-                networks=None,
-                worst=net,
-                worst_cost=engine.to_cost(cost),
-                complete=inconclusive == 0,
-                checked=checked,
-                inconclusive=inconclusive,
-            )
-        stable.append(net)
-        if worst_cost is None or cost > worst_cost:
-            worst, worst_cost = net, cost
+        elif verdict.stable:
+            stable.append(net)
+            if worst_cost is None or cost > worst_cost:
+                worst, worst_cost = net, cost
+            if worst_only:
+                break
     return EnumerationResult(
         concept=concept,
         networks=None if worst_only else tuple(stable),

@@ -105,11 +105,12 @@ def instance_from_json(text: str) -> Instance:
 def _instance(data) -> Instance:
     if data.get("version") != INSTANCE_VERSION:
         raise LabInputError(f"unsupported instance version {data.get('version')!r}")
-    n = data.get("n")
-    weights = data.get("weights")
-    if not isinstance(weights, list) or len(weights) != n:
+    n = _int(data.get("n"), "instance n")
+    weights = _list(data.get("weights"), "instance weights")
+    if len(weights) != n:
         raise LabInputError("instance weights must be an n x n matrix")
-    matrix = [[_rational(x, "weights") for x in row] for row in weights]
+    rows = (_list(row, "instance weights row") for row in weights)
+    matrix = [[_rational(x, "weights") for x in row] for row in rows]
     host = validate_host(matrix)
     return Instance(host=host, alpha=_rational(data.get("alpha"), "alpha"))
 

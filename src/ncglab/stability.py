@@ -68,6 +68,7 @@ from .errors import (
     AdditionAlreadyPresent,
     AdditionOutsideCoalition,
     LabInputError,
+    MoveError,
     RemovalNotPresent,
     RemovalOutsideCoalition,
 )
@@ -160,6 +161,8 @@ class Verdict:
 
 def apply_move(net: Network, move: Move) -> Network:
     """Return the network after the move; the input is untouched."""
+    if not move.coalition:  # would improve every member vacuously
+        raise MoveError("move coalition is empty")
     edges = set(net.edges)
     members = set(move.coalition)
     for e in move.removals:

@@ -179,6 +179,11 @@ _SWEEP = {"family": "zero_cluster", "concept": "bse", "n_values": [4], "alphas":
         pytest.param(
             "opt", _FIXTURE["instance"] | {"n": 2, "weights": [1, 2]}, id="weights-flat"
         ),
+        pytest.param(
+            "check",
+            _FIXTURE["instance"] | {"n": 3, "weights": ["012", "103", "230"]},
+            id="weights-row-text",
+        ),
         pytest.param("sweep", _SWEEP | {"n_values": ["x"]}, id="sweep-n-text"),
         pytest.param("sweep", _SWEEP | {"n_values": "34"}, id="sweep-n-string"),
         pytest.param("sweep", _SWEEP | {"n_values": [4.5]}, id="sweep-n-float"),

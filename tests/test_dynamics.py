@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import ncglab as L
+import ncglab.dynamics as D
 from ncglab.errors import InconclusiveSearch, LabInputError
 
 
@@ -132,20 +133,19 @@ class TestRunDynamics:
         assert trace.outcome == "budget-exhausted"
         assert "checker budget" in trace.note
 
-    def test_cycle_detection_reports_first_revisit(self):
+    def test_cycle_detection_reports_first_revisit(self, monkeypatch):
         # no genuine improving cycle was found at desk scale (seeded search
         # over thousands of instances converged every time), so the
-        # detector is driven by a scripted mover that oscillates
+        # detector is driven by a scripted move search that oscillates
         inst = unit_instance(2, 1)
         add = L.Move.make((0, 1), additions=[(0, 1)], concept="ps")
         remove = L.Move.make((0,), removals=[(0, 1)], concept="ps")
 
-        def mover(_inst, net):
+        def mover(_inst, net, *args, **kwargs):
             return add if not net.edges else remove
 
-        trace = L.run_dynamics(
-            inst, L.Network.empty(2), "ps", max_steps=10, _mover=mover
-        )
+        monkeypatch.setattr(D, "find_improving_move", mover)
+        trace = L.run_dynamics(inst, L.Network.empty(2), "ps", max_steps=10)
         assert trace.outcome == "cycle"
         assert trace.cycle_start == 0
         assert trace.cycle_period == 2

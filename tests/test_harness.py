@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -72,22 +73,41 @@ class TestEnumerateStable:
         assert fx.stable_net.edges in {net.edges for net in result.networks}
 
     def test_worst_only_agrees_with_full_enumeration(self):
-        # full mode computes social costs only for stable networks,
-        # worst-only mode for every candidate: both must agree, and with
-        # the Fraction oracle in model
-        cases = [(4, "uniform", seed, "bse") for seed in range(5)] + [
-            (5, model, seed, concept)
+        # full mode checks every survivor of the prefilter in walk order,
+        # worst-only mode in descending cost order until the first stable
+        # one: both must name the same worst network, and price it as the
+        # Fraction oracle in model does
+        cases = [(4, "uniform", seed, "bse", None) for seed in range(5)] + [
+            (5, model, seed, concept, None)
             for concept in L.CONCEPTS
             for model in ("tree", "uniform")
             for seed in (0, 1)
         ]
-        for n, model, seed, concept in cases:
+        # inconclusive checks above the worst found leave both incomplete
+        cases.append((5, "tree", 0, "ps", L.Budget(max_moves=10)))
+        for n, model, seed, concept, budget in cases:
             inst = L.random_instance(n, model, seed, F(2))
-            full = L.enumerate_stable(inst, concept)
-            fast = L.enumerate_stable(inst, concept, worst_only=True)
+            full = L.enumerate_stable(inst, concept, budget=budget)
+            fast = L.enumerate_stable(inst, concept, budget=budget, worst_only=True)
             assert full.worst_cost == fast.worst_cost
             assert full.worst is not None
+            assert full.worst.edges == fast.worst.edges
+            assert full.complete == fast.complete == (budget is None)
             assert full.worst_cost == L.cost_report(inst, full.worst).social_total
+
+    def test_worst_only_holds_no_more_than_full_mode(self):
+        # worst-only mode sorts only the prefilter's survivors; sorting
+        # every connected candidate peaked near five times full mode
+        inst = L.random_instance(6, "uniform", 0, F(2))
+        peaks = {}
+        for worst_only in (False, True):
+            tracemalloc.start()
+            try:
+                L.enumerate_stable(inst, "ps", worst_only=worst_only)
+                peaks[worst_only] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] <= peaks[False]
 
     def test_containment_filter_matches_direct_checks(self):
         for seed in range(4):
@@ -240,14 +260,18 @@ class TestPsPrefilter:
                 assert verdict.unstable, key
 
     def test_checked_counts_every_connected_graph(self):
-        # OEIS A001187, the candidates the walk visits: the prefilter and
-        # any later cut of the walk leave this count alone in full mode
-        for n, count in zip(range(2, 6), (1, 4, 38, 728)):
-            inst = L.random_instance(n, "tree", n, F(2))
-            for concept in L.CONCEPTS:
-                assert L.enumerate_stable(inst, concept).checked == count
-        inst = L.random_instance(6, "tree", 3, F(2))
-        assert L.enumerate_stable(inst, "ps").checked == 26_704
+        # OEIS A001187, the candidates the walk visits: the prefilter, any
+        # later cut of the walk and worst-only mode's early stop leave
+        # this count alone
+        for worst_only in (False, True):
+            for n, count in zip(range(2, 6), (1, 4, 38, 728)):
+                inst = L.random_instance(n, "tree", n, F(2))
+                for concept in L.CONCEPTS:
+                    result = L.enumerate_stable(inst, concept, worst_only=worst_only)
+                    assert result.checked == count
+            inst = L.random_instance(6, "tree", 3, F(2))
+            result = L.enumerate_stable(inst, "ps", worst_only=worst_only)
+            assert result.checked == 26_704
 
 
 class TestPoaPoint:

@@ -57,6 +57,10 @@ class TestInstanceFiles:
             lambda d: d.update(weights=[["0", "1"], ["2", "0"]]),
             lambda d: d.update(weights=[["0"]]),
             lambda d: d.update(alpha="x"),
+            # a string row would be read one character per weight
+            lambda d: d.update(n=3, weights=["012", "103", "230"]),
+            lambda d: d.update(n="2"),
+            lambda d: d.update(n=2.0),
         ],
     )
     def test_malformed_rejected(self, mutate):

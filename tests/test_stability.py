@@ -9,6 +9,7 @@ from ncglab.engine import CostEngine, canonical_edges
 from ncglab.errors import (
     AdditionAlreadyPresent,
     AdditionOutsideCoalition,
+    MoveError,
     RemovalNotPresent,
 )
 from ncglab.scalars import INF
@@ -49,6 +50,19 @@ class TestApplyMove:
         move = L.Move.make((0, 1), additions=[(0, 1)])
         with pytest.raises(AdditionAlreadyPresent):
             L.apply_move(net, move)
+
+    def test_empty_coalition_rejected(self):
+        # with no member to improve, an empty move would pass is_improving
+        inst = unit_instance(3, 1)
+        net = L.Network.from_pairs(3, [(0, 1), (1, 2)])
+        empty = L.Move.make(())
+        for call in (
+            lambda: L.apply_move(net, empty),
+            lambda: L.is_improving(inst, net, empty),
+            lambda: L.move_deltas(inst, net, empty),
+        ):
+            with pytest.raises(MoveError):
+                call()
 
     def test_input_untouched(self):
         net = L.Network.from_pairs(3, [(0, 1), (1, 2)])

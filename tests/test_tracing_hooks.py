@@ -45,6 +45,16 @@ def test_tracer_counts_an_enumeration_and_uninstalls():
     assert metrics["harness.candidates"] == result.checked
 
 
+def test_tracer_counts_a_worst_only_enumeration():
+    # harness.candidates reads checked, which counts the whole walk in
+    # worst-only mode too, not just the candidates before the worst
+    tracer = _load_tracing().Tracer()
+    inst = L.random_instance(5, "uniform", 0, F(2))
+    with tracer.installed(), tracer.root("enumerate_stable"):
+        result = L.enumerate_stable(inst, "ps", worst_only=True)
+    assert tracer.metrics()["harness.candidates"] == result.checked == 728
+
+
 def test_tracer_counts_the_optimum_search():
     tracer = _load_tracing().Tracer()
     original = L.brute_force_opt
