@@ -2,11 +2,9 @@
 
 from .errors import (
     AlphaNotSquare,
-    AlphaTooSmall,
     BoundViolation,
     DisconnectedNetwork,
     DisconnectedSeed,
-    HostNotMetric,
     HostTooSmall,
     InstanceTooLarge,
     LabError,
@@ -51,7 +49,6 @@ from .stability import (
 from .dynamics import (
     BEST_RESPONSE,
     FIRST_FOUND,
-    GUIDED_FIRST,
     POLICIES,
     Trace,
     find_improving_move,
@@ -66,11 +63,6 @@ from .fixtures import (
     gen_metric_star,
     generate,
     verify_fixture,
-)
-from .guided import (
-    GuidedPartition,
-    guided_bse_candidates,
-    guided_partition,
 )
 from .harness import (
     EnumerationResult,

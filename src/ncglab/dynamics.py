@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 from .engine import CostEngine
 from .errors import InconclusiveSearch, LabInputError
-from .guided import guided_bse_candidates
 from .model import Instance, Network
-from .stability import BSE, _Search, apply_move, require_concept
+from .stability import _Search, apply_move, require_concept
 
 FIRST_FOUND = "first-found"
 BEST_RESPONSE = "best-response"
-GUIDED_FIRST = "guided-first"
-POLICIES = (FIRST_FOUND, BEST_RESPONSE, GUIDED_FIRST)
+POLICIES = (FIRST_FOUND, BEST_RESPONSE)
 
 EQUILIBRIUM = "equilibrium"
 CYCLE = "cycle"
@@ -51,13 +49,6 @@ def find_improving_move(
     require_concept(concept)
     if policy not in POLICIES:
         raise LabInputError(f"unknown policy {policy!r}; know {POLICIES}")
-    if policy == GUIDED_FIRST:
-        if concept != BSE:
-            raise LabInputError("guided-first policy applies to bse only")
-        candidates = guided_bse_candidates(inst, net)
-        if candidates:
-            return candidates[0]
-        policy = FIRST_FOUND
 
     search = _Search(inst, net, budget, CostEngine(inst))
     if policy == FIRST_FOUND:

@@ -58,14 +58,6 @@ class NotProvenOptimal(LabInputError):
     """A check that needs a proven optimum got a heuristic one."""
 
 
-class HostNotMetric(LabInputError):
-    """Operation requires host weights satisfying the triangle inequality."""
-
-
-class AlphaTooSmall(LabInputError):
-    """Edge price parameter below the operation's admissible range."""
-
-
 class AlphaNotSquare(LabInputError):
     """Edge price parameter must be a perfect square for exact square roots."""
 

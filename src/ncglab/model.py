@@ -201,7 +201,7 @@ def _weighted_adjacency(net: Network, host: HostGraph):
 def shortest_distances(net: Network, host: HostGraph) -> DistanceMatrix:
     """Exact all-pairs shortest paths of the network; inf marks unreachable."""
     if net.n != host.n:
-        raise ValueError("network and host disagree on node count")
+        raise LabInputError("network and host disagree on node count")
     adj = _weighted_adjacency(net, host)
     rows = tuple(tuple(_dijkstra(net.n, adj, s)) for s in range(net.n))
     connected = all(not is_inf(d) for row in rows for d in row)

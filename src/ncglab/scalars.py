@@ -5,10 +5,9 @@ infinite value, used for distances in disconnected networks. Fractions and
 ``inf`` mix transparently in sums and comparisons, which gives exactly the
 absorption and domination behaviour the cost model needs.
 
-Square roots never appear as values: every threshold of the form
-``k * sqrt(alpha) * y`` is decided by comparing squares, and every floor of
-the form ``floor(m / sqrt(alpha))`` by an integer search, so the
-arithmetic stays exact.
+Square roots never appear as inexact values: ``sqrt_exact`` returns the
+root of a rational only when it is itself rational, and the fixtures that
+need ``sqrt(alpha)`` refuse any other alpha with ``AlphaNotSquare``.
 """
 
 from fractions import Fraction
@@ -65,32 +64,3 @@ def sqrt_exact(x: Fraction):
     if rp * rp == p and rq * rq == q:
         return Fraction(rp, rq)
     return None
-
-
-def floor_div_sqrt(m: int, alpha: Fraction) -> int:
-    """floor(m / sqrt(alpha)) for m >= 0, alpha > 0, without square roots.
-
-    Largest t >= 0 with t*t*alpha <= m*m.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    p, q = alpha.numerator, alpha.denominator
-    # t^2 <= m^2 q / p, and t^2 is an integer, so flooring the bound is exact.
-    return isqrt((m * m * q) // p)
-
-
-def cmp_k_sqrt_alpha(x, k: int, alpha: Fraction, y):
-    """Sign of ``x - k*sqrt(alpha)*y`` for x, y >= 0 (x may be inf).
-
-    Returns -1, 0 or 1. Both sides are non-negative, so comparing squares
-    is equivalent and keeps the arithmetic rational.
-    """
-    if is_inf(x):
-        return 1
-    lhs = Fraction(x) ** 2
-    rhs = k * k * alpha * Fraction(y) ** 2
-    if lhs < rhs:
-        return -1
-    if lhs > rhs:
-        return 1
-    return 0

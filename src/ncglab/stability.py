@@ -92,6 +92,12 @@ def require_concept(concept):
         raise LabInputError(f"unknown concept {concept!r}; know {CONCEPTS}")
 
 
+def _require_same_nodes(inst, net):
+    """Raise ``LabInputError`` unless the network lives on the instance's nodes."""
+    if net.n != inst.n:
+        raise LabInputError("network and instance disagree on node count")
+
+
 def _pair(e):
     a, b = e
     return (a, b) if a < b else (b, a)
@@ -163,6 +169,8 @@ def apply_move(net: Network, move: Move) -> Network:
     """Return the network after the move; the input is untouched."""
     if not move.coalition:  # would improve every member vacuously
         raise MoveError("move coalition is empty")
+    if not all(0 <= m < net.n for m in move.coalition):  # bounds every edge too
+        raise MoveError(f"coalition {move.coalition} leaves nodes 0..{net.n - 1}")
     edges = set(net.edges)
     members = set(move.coalition)
     for e in move.removals:
@@ -192,6 +200,7 @@ def _cost_delta(engine, old, new):
 
 def move_deltas(inst: Instance, net: Network, move: Move):
     """Exact per-member cost deltas (after minus before) of applying a move."""
+    _require_same_nodes(inst, net)
     engine = CostEngine(inst)
     after = apply_move(net, move).edges
     out = []
@@ -203,6 +212,7 @@ def move_deltas(inst: Instance, net: Network, move: Move):
 
 def is_improving(inst: Instance, net: Network, move: Move):
     """True iff the move strictly improves every coalition member."""
+    _require_same_nodes(inst, net)
     engine = CostEngine(inst)
     after = apply_move(net, move).edges
     return all(
@@ -226,8 +236,7 @@ class _Search:
     """
 
     def __init__(self, inst, net, budget, engine):
-        if net.n != inst.n:
-            raise ValueError("network and instance disagree on node count")
+        _require_same_nodes(inst, net)
         self.engine = engine
         self.budget = budget or _UNLIMITED
         self.gkey = net.edges
@@ -555,6 +564,9 @@ def best_single_removal(inst: Instance, net: Network, u: int):
     Returns None when u is isolated; the delta is infinite when every
     single removal disconnects u. Ties break toward the smallest edge.
     """
+    _require_same_nodes(inst, net)
+    if not 0 <= u < net.n:
+        raise LabInputError(f"agent {u} outside nodes 0..{net.n - 1}")
     engine = CostEngine(inst)
     incident = sorted(e for e in net.edges if u in e)
     if not incident:

@@ -365,6 +365,14 @@ class TestDynamics:
         assert data["outcome"] in ("equilibrium", "cycle", "budget-exhausted")
         assert "outcome:" in capsys.readouterr().out
 
+    def test_unknown_policy_exits_three(self, tmp_path, capsys):
+        # a tree host is metric and alpha > 1: the removed guided-first policy took both
+        inst = tmp_path / "tree.json"
+        inst.write_text(S.instance_to_json(L.random_instance(4, "tree", 0, F(2))))
+        args = ["dynamics", str(inst), "--concept", "bse", "--policy", "guided-first"]
+        assert main(args) == 3
+        assert "invalid choice: 'guided-first'" in capsys.readouterr().err
+
 
 class TestPoa:
     def test_reports_ratio(self, workdir, capsys):

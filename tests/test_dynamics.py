@@ -46,17 +46,16 @@ class TestFindImprovingMove:
         assert best.removals == ((0, 2),)
         assert dict(L.move_deltas(inst, net, best))[0] == F(-18)
 
-    def test_guided_first_falls_back_to_enumeration(self):
-        inst = L.random_instance(5, "tree", 2, F(3))
-        net = L.Network.empty(5)
-        move = L.find_improving_move(inst, net, "bse", policy="guided-first")
-        assert move is not None
-        assert L.is_improving(inst, net, move)
-
-    def test_guided_first_rejected_for_other_concepts(self):
-        inst = unit_instance(3, 1)
-        with pytest.raises(LabInputError):
-            L.find_improving_move(inst, L.Network.empty(3), "ps", policy="guided-first")
+    def test_unknown_policy_rejected(self):
+        # a deleted policy's name must not fall through to a remaining one
+        inst, net = unit_instance(3, 1), L.Network.empty(3)
+        know = r"unknown policy 'guided-first'; know \('first-found', 'best-response'\)"
+        for call in (
+            lambda: L.find_improving_move(inst, net, "bse", policy="guided-first"),
+            lambda: L.run_dynamics(inst, net, "bse", policy="guided-first", max_steps=0),
+        ):
+            with pytest.raises(LabInputError, match=know):
+                call()
 
     def test_budget_exhaustion_propagates(self):
         fx = L.gen_general_bse(5, F(2))

@@ -64,6 +64,19 @@ class TestApplyMove:
             with pytest.raises(MoveError):
                 call()
 
+    def test_member_outside_nodes_rejected(self):
+        # the addition lies inside the coalition, but node 4 is not in the network
+        inst = unit_instance(4, 1)
+        net = L.Network.empty(4)
+        move = L.Move.make((3, 4), additions=[(3, 4)])
+        for call in (
+            lambda: L.apply_move(net, move),
+            lambda: L.is_improving(inst, net, move),
+            lambda: L.move_deltas(inst, net, move),
+        ):
+            with pytest.raises(MoveError, match=r"leaves nodes 0\.\.3"):
+                call()
+
     def test_input_untouched(self):
         net = L.Network.from_pairs(3, [(0, 1), (1, 2)])
         L.apply_move(net, L.Move.make((1,), removals=[(0, 1)]))
@@ -483,6 +496,29 @@ def test_unknown_concept_is_an_input_error_everywhere(entry):
     know = r"unknown concept 'xx'; know \('ps', 'bne', 'bse'\)"
     with pytest.raises(L.LabInputError, match=know):
         entry(inst, net)
+
+
+_ADD_01 = L.Move.make((0, 1), additions=[(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda inst: L.move_deltas(inst, L.Network.empty(5), _ADD_01),
+        lambda inst: L.is_improving(inst, L.Network.empty(3), _ADD_01),
+        lambda inst: L.best_single_removal(inst, L.Network.complete(4), 7),
+        lambda inst: L.best_single_removal(inst, L.Network.complete(5), 0),
+        lambda inst: L.check(inst, L.Network.empty(5), "ps"),
+        lambda inst: L.shortest_distances(L.Network.empty(5), inst.host),
+    ],
+    ids=[
+        "move_deltas", "is_improving", "best_single_removal-agent",
+        "best_single_removal-network", "check", "shortest_distances",
+    ],
+)
+def test_mismatched_inputs_are_input_errors(entry):
+    with pytest.raises(L.LabInputError, match="disagree on node count|outside nodes"):
+        entry(unit_instance(4, 1))
 
 
 class TestBestSingleRemoval:
