@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .engine import CostEngine
 from .errors import InconclusiveSearch, LabInputError
 from .model import Instance, Network
-from .stability import _Search, apply_move, require_concept
+from .stability import _run_checker, _Search, apply_move, require_concept
 
 FIRST_FOUND = "first-found"
 BEST_RESPONSE = "best-response"
@@ -50,16 +50,15 @@ def find_improving_move(
     if policy not in POLICIES:
         raise LabInputError(f"unknown policy {policy!r}; know {POLICIES}")
 
-    search = _Search(inst, net, budget, CostEngine(inst))
-    if policy == FIRST_FOUND:
-        for move in search.moves(concept):
-            return move
-        if search.budget_skipped:
-            raise InconclusiveSearch(search.frontier)
-        return None
+    if policy == FIRST_FOUND:  # the checker's witness
+        verdict = _run_checker(inst, net, concept, budget, CostEngine(inst))
+        if verdict.inconclusive:
+            raise InconclusiveSearch(verdict.frontier)
+        return verdict.witness
 
     # best-response: maximize the total strict improvement of the coalition,
     # ties broken by canonical enumeration order (first wins)
+    search = _Search(inst, net, budget, CostEngine(inst))
     best_move, best_gain = None, None
     for move in search.moves(concept):
         after = apply_move(net, move).edges

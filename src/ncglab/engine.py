@@ -63,7 +63,6 @@ class CostEngine:
         self.unit = self.q * scale
         self.W = [[x.numerator * (scale // x.denominator) for x in row] for row in w]
         self._states = {}
-        self._host_rows = None
         self._host_sums = None
 
     # -- network state ----------------------------------------------------
@@ -124,19 +123,12 @@ class CostEngine:
 
     # -- host lower bounds --------------------------------------------------
 
-    def host_rows(self):
-        """Distance rows of the full host: a lower bound on any subgraph's."""
-        if self._host_rows is None:
-            n = self.n
-            adj = [
-                [(v, self.W[u][v]) for v in range(n) if v != u] for u in range(n)
-            ]
-            self._host_rows = [self._dijkstra(adj, u) for u in range(n)]
-        return self._host_rows
-
     def host_dist_sum(self, u: int):
+        """Distance sum of u in the full host: a lower bound on any subgraph's."""
         if self._host_sums is None:
-            self._host_sums = [sum(r) for r in self.host_rows()]
+            n, W = self.n, self.W
+            adj = [[(y, W[x][y]) for y in range(n) if y != x] for x in range(n)]
+            self._host_sums = [sum(self._dijkstra(adj, x)) for x in range(n)]
         return self._host_sums[u]
 
     # -- costs (scaled) -----------------------------------------------------

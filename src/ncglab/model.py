@@ -292,6 +292,10 @@ def shortest_path_tree(net: Network, host: HostGraph, z: int) -> Network:
     Parent of u is the smallest-index neighbor v with
     d(z,v) + w(v,u) = d(z,u), so the tree is deterministic.
     """
+    if net.n != host.n:
+        raise LabInputError("network and host disagree on node count")
+    if not 0 <= z < net.n:
+        raise LabInputError(f"root {z} outside nodes 0..{net.n - 1}")
     adj = _weighted_adjacency(net, host)
     dist = _dijkstra(net.n, adj, z)
     if any(is_inf(d) for d in dist):

@@ -10,7 +10,7 @@ identities, and the proven structural bounds agree on random data.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .dynamics import EQUILIBRIUM, FIRST_FOUND, run_dynamics
@@ -147,23 +147,45 @@ def _dominance_violation(inst, net, u, subset):
     return sub if best is None or not (best[1] < 0) else None
 
 
+_SKIP = object()  # a trial's draw the property does not apply to
+
+
+def _run_trials(name, stream, seed, trials, trial):
+    """Run ``trial(rng)`` ``trials`` times on the property's own seeded stream.
+
+    A trial returns ``_SKIP`` when its draw does not apply, None when the
+    property holds, or a function that describes the counterexample; only
+    the first failure is described. ``trials`` in the result counts the
+    trials that applied.
+    """
+    rng = random.Random(f"{stream}:{seed}")
+    tested = failures = 0
+    example = None
+    for _ in range(trials):
+        outcome = trial(rng)
+        if outcome is _SKIP:
+            continue
+        tested += 1
+        if outcome is not None:
+            failures += 1
+            if example is None:
+                example = outcome()
+    return PropertyResult(name=name, trials=tested, failures=failures, counterexample=example)
+
+
 def check_single_removal_dominance(seed, trials):
     """If deleting any set of an agent's edges pays, one deletion pays."""
-    rng = random.Random(f"single-removal-dominance:{seed}")
-    failures = 0
-    example = None
-    done = 0
-    for _ in range(trials):
+
+    def trial(rng):
         n = rng.randint(3, 6)
         inst = _mixed_instance(rng, n)
         net = _random_connected_network(n, rng)
         u = rng.randrange(n)
         incident = sorted(e for e in net.edges if u in e)
         if not incident:
-            continue
+            return _SKIP
         size = rng.randint(1, len(incident))
         subset = sorted(rng.sample(incident, size))
-        done += 1
 
         def violation(i, g, labels):
             # u and subset under the labels of the shrunk instance i
@@ -176,26 +198,22 @@ def check_single_removal_dominance(seed, trials):
         def fails(i, g, labels):
             return violation(i, g, labels) is not None
 
-        if fails(inst, net, range(n)):
-            failures += 1
-            if example is None:
-                si, sg, labels = _shrink_labelled(inst, net, fails)
-                shrunk = violation(si, sg, labels)
-                example = f"agent={labels.index(u)} subset={shrunk} {_describe(si, sg)}"
-    return PropertyResult(
-        name="single-removal dominance",
-        trials=done,
-        failures=failures,
-        counterexample=example,
+        def shrunk():
+            si, sg, labels = _shrink_labelled(inst, net, fails)
+            found = violation(si, sg, labels)
+            return f"agent={labels.index(u)} subset={found} {_describe(si, sg)}"
+
+        return shrunk if fails(inst, net, range(n)) else None
+
+    return _run_trials(
+        "single-removal dominance", "single-removal-dominance", seed, trials, trial
     )
 
 
 def check_tree_distance_bound(seed, trials):
     """sum_u d_G(u,V) <= sum_u d_T(u,V) <= 2(n-1) d_G(z,V) for every root z."""
-    rng = random.Random(f"tree-distance-bound:{seed}")
-    failures = 0
-    example = None
-    for _ in range(trials):
+
+    def trial(rng):
         n = rng.randint(3, 6)
         inst = _mixed_instance(rng, n)
         net = _random_connected_network(n, rng)
@@ -206,46 +224,36 @@ def check_tree_distance_bound(seed, trials):
             dt = shortest_distances(tree, inst.host)
             total_t = sum(dt.row_sum(u) for u in range(n))
             if not (total_g <= total_t <= 2 * (n - 1) * dm.row_sum(z)):
-                failures += 1
-                if example is None:
-                    example = f"z={z} {_describe(inst, net)}"
-                break
-    return PropertyResult(
-        name="shortest-path-tree distance bound", trials=trials, failures=failures,
-        counterexample=example,
+                return lambda: f"z={z} {_describe(inst, net)}"
+        return None
+
+    return _run_trials(
+        "shortest-path-tree distance bound", "tree-distance-bound", seed, trials, trial
     )
 
 
 def check_metric_distance_ratio(seed, trials):
     """Any connected subgraph of a metric host: distance cost <= 2(n-1) * optimum's."""
-    rng = random.Random(f"metric-distance-ratio:{seed}")
-    failures = 0
-    example = None
-    for _ in range(trials):
+
+    def trial(rng):
         n = rng.randint(3, 5)
         inst = _mixed_instance(rng, n, metric_only=True)
         net = _random_connected_network(n, rng)
         opt = brute_force_opt(inst)
         d_net = sum(cost_report(inst, net).distance_costs)
         d_opt = sum(cost_report(inst, opt.network).distance_costs)
-        if d_net > 2 * (n - 1) * d_opt:
-            failures += 1
-            if example is None:
-                example = _describe(inst, net)
-    return PropertyResult(
-        name="metric connected-subgraph distance ratio <= 2(n-1)",
-        trials=trials,
-        failures=failures,
-        counterexample=example,
+        return (lambda: _describe(inst, net)) if d_net > 2 * (n - 1) * d_opt else None
+
+    return _run_trials(
+        "metric connected-subgraph distance ratio <= 2(n-1)",
+        "metric-distance-ratio", seed, trials, trial,
     )
 
 
 def check_tree_edge_cost_ratio(seed, trials):
     """Any spanning tree of a metric host: edge weight <= n * optimum's."""
-    rng = random.Random(f"tree-edge-cost-ratio:{seed}")
-    failures = 0
-    example = None
-    for _ in range(trials):
+
+    def trial(rng):
         n = rng.randint(3, 5)
         inst = _mixed_instance(rng, n, metric_only=True)
         tree = _random_connected_network(n, rng, extra_p=0.0)
@@ -253,55 +261,42 @@ def check_tree_edge_cost_ratio(seed, trials):
         w = inst.host.weights
         w_tree = sum(w[u][v] for u, v in tree.edges)
         w_opt = sum(w[u][v] for u, v in opt.network.edges)
-        if w_tree > n * w_opt:
-            failures += 1
-            if example is None:
-                example = _describe(inst, tree)
-    return PropertyResult(
-        name="metric tree edge-cost ratio <= n",
-        trials=trials,
-        failures=failures,
-        counterexample=example,
+        return (lambda: _describe(inst, tree)) if w_tree > n * w_opt else None
+
+    return _run_trials(
+        "metric tree edge-cost ratio <= n", "tree-edge-cost-ratio", seed, trials, trial
     )
 
 
 def check_stable_network_bounds(seed, trials):
     """Improving-response ps endpoints satisfy the stretch and edge-cost bounds."""
-    rng = random.Random(f"stable-network-bounds:{seed}")
-    failures = 0
-    converged = 0
-    example = None
-    for _ in range(trials):
+
+    def trial(rng):
         n = rng.randint(3, 6)
         inst = _mixed_instance(rng, n)
         start = Network(n=n, edges=_minimum_spanning_tree(inst))
         trace = run_dynamics(inst, start, "ps", FIRST_FOUND, max_steps=400)
         if trace.outcome != EQUILIBRIUM:
-            continue
-        converged += 1
-        net = trace.final
+            return _SKIP
         try:
-            _check_network_bounds(inst, net, {})
+            _check_network_bounds(inst, trace.final, {})
         except BoundViolation:
-            failures += 1
-            if example is None:
-                example = _describe(inst, net)
-    return PropertyResult(
-        name="pairwise-stable endpoint bounds (stretch, edge cost)",
-        trials=trials,
-        failures=failures,
-        counterexample=example,
-        note=f"{converged} converged",
+            return lambda: _describe(inst, trace.final)
+        return None
+
+    result = _run_trials(
+        "pairwise-stable endpoint bounds (stretch, edge cost)",
+        "stable-network-bounds", seed, trials, trial,
     )
+    # every trial counts here; the ones that applied are the converged ones
+    return replace(result, trials=trials, note=f"{result.trials} converged")
 
 
 def check_cost_identities(seed, trials):
     """Social total equals the agent sum and the 2aw(E)+dist closed form;
     stars match the star closed form."""
-    rng = random.Random(f"cost-identities:{seed}")
-    failures = 0
-    example = None
-    for _ in range(trials):
+
+    def trial(rng):
         n = rng.randint(2, 6)
         inst = _mixed_instance(rng, n)
         net = _random_connected_network(n, rng)
@@ -309,10 +304,7 @@ def check_cost_identities(seed, trials):
         w_total = sum(inst.host.weights[u][v] for u, v in net.edges)
         direct = 2 * inst.alpha * w_total + sum(report.distance_costs)
         if report.social_total != sum(report.totals) or report.social_total != direct:
-            failures += 1
-            if example is None:
-                example = _describe(inst, net)
-            continue
+            return lambda: _describe(inst, net)
         center = rng.randrange(n)
         star = Network.from_pairs(
             n, ((center, v) for v in range(n) if v != center)
@@ -320,14 +312,12 @@ def check_cost_identities(seed, trials):
         star_report = cost_report(inst, star)
         star_w = sum(inst.host.weights[u][v] for u, v in star.edges)
         if star_report.social_total != star_social_cost(n, inst.alpha, star_w):
-            failures += 1
-            if example is None:
-                example = f"star center={center} {_describe(inst, star)}"
-    return PropertyResult(
-        name="cost identities (social sum, star closed form)",
-        trials=trials,
-        failures=failures,
-        counterexample=example,
+            return lambda: f"star center={center} {_describe(inst, star)}"
+        return None
+
+    return _run_trials(
+        "cost identities (social sum, star closed form)", "cost-identities",
+        seed, trials, trial,
     )
 
 

@@ -10,17 +10,12 @@ it cannot read into a value, never a bare ``KeyError`` or ``TypeError``.
 import json
 from dataclasses import fields
 
-from .errors import (
-    AdditionOutsideCoalition,
-    LabInputError,
-    MoveError,
-    RemovalOutsideCoalition,
-)
+from .errors import LabInputError, MoveError
 from .fixtures import Fixture
 from .harness import SweepConfig
 from .model import Instance, Network, is_metric, validate_host
 from .scalars import format_rational, parse_rational
-from .stability import CONCEPTS, Budget, Move
+from .stability import CONCEPTS, Budget, Move, _check_shape
 
 INSTANCE_VERSION = 1
 
@@ -156,8 +151,8 @@ def witness_from_json(text: str) -> Move:
 
 
 def _witness(data) -> Move:
-    """A move as ``apply_move`` accepts it: a known concept, a non-empty
-    coalition, additions inside it and removals touching it."""
+    """A move of a known concept, in the shape ``apply_move`` accepts
+    (``stability._check_shape``)."""
     concept = str(data.get("concept", "")).lower()
     if concept not in CONCEPTS:
         raise MoveError(f"unknown witness concept {data.get('concept')!r}")
@@ -167,15 +162,7 @@ def _witness(data) -> Move:
         additions=tuple(_edge(e) for e in data.get("add", ())),
         concept=concept,
     )
-    members = set(move.coalition)
-    if not members:
-        raise MoveError("witness coalition is empty")
-    for a, b in move.additions:
-        if a not in members or b not in members:
-            raise AdditionOutsideCoalition(f"addition {(a, b)} not inside coalition")
-    for a, b in move.removals:
-        if a not in members and b not in members:
-            raise RemovalOutsideCoalition(f"removal {(a, b)} has no endpoint in coalition")
+    _check_shape(move)
     return move
 
 

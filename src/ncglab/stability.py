@@ -129,7 +129,18 @@ class Move:
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for the coalition search; exceeding any yields Inconclusive."""
+    """Caps for a checker's search; a search a cap cuts short, with no
+    witness found, is Inconclusive. Each cap binds only for the concepts
+    whose search reads it:
+
+      max_coalition: bse
+      max_changes: bne, bse
+      max_moves: ps, bne, bse
+
+    A search ignores the caps it does not read: a ps witness may add an
+    edge for two agents under ``max_coalition=0`` or ``max_changes=0``,
+    and a bne witness may have partners beyond ``max_coalition``.
+    """
 
     max_coalition: int = None
     max_changes: int = None  # |removals| + |additions| per move
@@ -165,26 +176,35 @@ class Verdict:
         return self.status == INCONCLUSIVE
 
 
+def _check_shape(move: Move):
+    """Raise ``MoveError`` unless the move has the shape of a deviation: a
+    non-empty coalition, every addition inside it and every removal
+    touching it. Presence in a network is ``apply_move``'s to check."""
+    members = frozenset(move.coalition)
+    if not members:  # would improve every member vacuously
+        raise MoveError("move coalition is empty")
+    for e in move.additions:
+        if e[0] not in members or e[1] not in members:
+            raise AdditionOutsideCoalition(f"addition {e} not inside coalition")
+    for e in move.removals:
+        if e[0] not in members and e[1] not in members:
+            raise RemovalOutsideCoalition(f"removal {e} has no endpoint in coalition")
+
+
 def apply_move(net: Network, move: Move) -> Network:
     """Return the network after the move; the input is untouched."""
-    if not move.coalition:  # would improve every member vacuously
-        raise MoveError("move coalition is empty")
+    _check_shape(move)
     if not all(0 <= m < net.n for m in move.coalition):  # bounds every edge too
         raise MoveError(f"coalition {move.coalition} leaves nodes 0..{net.n - 1}")
-    edges = set(net.edges)
-    members = set(move.coalition)
+    present = frozenset(net.edges)
+    edges = set(present)
     for e in move.removals:
         if e not in edges:
             raise RemovalNotPresent(f"removal {e} not in network")
-        if e[0] not in members and e[1] not in members:
-            raise RemovalOutsideCoalition(f"removal {e} has no endpoint in coalition")
         edges.discard(e)
-    original = frozenset(net.edges)
     for e in move.additions:
-        if e in original:
+        if e in present:
             raise AdditionAlreadyPresent(f"addition {e} already in network")
-        if e[0] not in members or e[1] not in members:
-            raise AdditionOutsideCoalition(f"addition {e} not inside coalition")
         edges.add(e)
     return Network(n=net.n, edges=canonical_edges(edges))
 
@@ -198,27 +218,28 @@ def _cost_delta(engine, old, new):
     return engine.to_cost(new - old)
 
 
+def _deltas(engine, net, move):
+    """Exact per-member cost deltas (after minus before) of applying a
+    move, priced on the given engine. The one pricing of a move: the
+    public functions below all read it."""
+    after = apply_move(net, move).edges
+    return tuple(
+        (m, _cost_delta(engine, engine.member_cost(net.edges, m), engine.member_cost(after, m)))
+        for m in move.coalition
+    )
+
+
 def move_deltas(inst: Instance, net: Network, move: Move):
     """Exact per-member cost deltas (after minus before) of applying a move."""
     _require_same_nodes(inst, net)
-    engine = CostEngine(inst)
-    after = apply_move(net, move).edges
-    out = []
-    for m in move.coalition:
-        old = engine.member_cost(net.edges, m)
-        out.append((m, _cost_delta(engine, old, engine.member_cost(after, m))))
-    return tuple(out)
+    return _deltas(CostEngine(inst), net, move)
 
 
 def is_improving(inst: Instance, net: Network, move: Move):
-    """True iff the move strictly improves every coalition member."""
+    """True iff the move strictly improves every coalition member: every
+    delta is negative."""
     _require_same_nodes(inst, net)
-    engine = CostEngine(inst)
-    after = apply_move(net, move).edges
-    return all(
-        engine.member_cost(after, m) < engine.member_cost(net.edges, m)
-        for m in move.coalition
-    )
+    return all(delta < 0 for _, delta in _deltas(CostEngine(inst), net, move))
 
 
 class _BudgetStop(Exception):
@@ -271,6 +292,7 @@ class _Search:
             self._prepare(u)
 
     def _affordable(self, u, v):
+        # false for a dead endpoint too: the price is never negative
         price = self.engine.p * self.engine.W[u][v]
         return price < self.spend_cap[u] and price < self.spend_cap[v]
 
@@ -327,7 +349,7 @@ class _Search:
                 if (u, v) in eset:
                     continue
                 self._prepare(v)
-                if not (self.spend_cap[v] > 0 and self._affordable(u, v)):
+                if not self._affordable(u, v):
                     continue
                 self._count_eval()
                 w = eng.W[u][v]
@@ -356,7 +378,6 @@ class _Search:
                 for v in range(n)
                 if v != u
                 and _pair((u, v)) not in eset
-                and self.spend_cap[v] > 0
                 and self._affordable(u, v)
             )
             yield from self._joint_moves((u,), addable, BNE, f"agent {u}")
@@ -559,7 +580,8 @@ def check(inst: Instance, net: Network, concept: str, budget: Budget = None):
 
 
 def best_single_removal(inst: Instance, net: Network, u: int):
-    """Cheapest single incident removal for u: (edge, exact cost delta).
+    """Cheapest single incident removal for u: (edge, exact cost delta),
+    the minimum over u's single-removal moves.
 
     Returns None when u is isolated; the delta is infinite when every
     single removal disconnects u. Ties break toward the smallest edge.
@@ -568,15 +590,8 @@ def best_single_removal(inst: Instance, net: Network, u: int):
     if not 0 <= u < net.n:
         raise LabInputError(f"agent {u} outside nodes 0..{net.n - 1}")
     engine = CostEngine(inst)
-    incident = sorted(e for e in net.edges if u in e)
-    if not incident:
-        return None
-    base = engine.member_cost(net.edges, u)
-    eset = frozenset(net.edges)
-    best = None
-    for e in incident:
-        new = engine.member_cost(canonical_edges(eset - {e}), u)
-        delta = _cost_delta(engine, base, new)
-        if best is None or delta < best[1]:
-            best = (e, delta)
-    return best
+    removals = (
+        (e, _deltas(engine, net, Move.make((u,), removals=(e,)))[0][1])
+        for e in sorted(e for e in net.edges if u in e)
+    )
+    return min(removals, key=lambda found: found[1], default=None)

@@ -471,6 +471,30 @@ class TestBudgets:
         verdict = L.is_bse(fx.instance, fx.stable_net, budget=L.Budget(max_moves=3))
         assert (verdict.status, verdict.moves_evaluated) == ("inconclusive", 3)
 
+    def test_each_cap_binds_only_for_the_concepts_its_docstring_names(self):
+        # on two nodes the only improving move adds edge 01 for coalition
+        # {0, 1}: a zero cap that binds leaves the check inconclusive, and
+        # one that does not leaves that move to be found
+        inst = unit_instance(2, 1)
+        binds = {
+            cap: [
+                concept
+                for concept in L.CONCEPTS
+                if L.check(inst, L.Network.empty(2), concept, L.Budget(**{cap: 0})).inconclusive
+            ]
+            for cap in ("max_coalition", "max_changes", "max_moves")
+        }
+        assert binds == {
+            "max_coalition": ["bse"],
+            "max_changes": ["bne", "bse"],
+            "max_moves": ["ps", "bne", "bse"],
+        }
+        for cap, concepts in binds.items():
+            assert f"{cap}: {', '.join(concepts)}" in L.Budget.__doc__
+        # a cap that does not bind still lets the witness exceed it
+        witness = L.is_bne(inst, L.Network.empty(2), L.Budget(max_coalition=1)).witness
+        assert witness.coalition == (0, 1)
+
     def test_generous_budget_still_concludes(self):
         fx = L.gen_general_bse(4, F(2))
         verdict = L.is_bse(
@@ -510,10 +534,15 @@ _ADD_01 = L.Move.make((0, 1), additions=[(0, 1)])
         lambda inst: L.best_single_removal(inst, L.Network.complete(5), 0),
         lambda inst: L.check(inst, L.Network.empty(5), "ps"),
         lambda inst: L.shortest_distances(L.Network.empty(5), inst.host),
+        lambda inst: L.shortest_path_tree(L.Network.complete(4), inst.host, 7),
+        lambda inst: L.shortest_path_tree(L.Network.complete(4), inst.host, -1),
+        lambda inst: L.shortest_path_tree(L.Network.complete(5), inst.host, 0),
     ],
     ids=[
         "move_deltas", "is_improving", "best_single_removal-agent",
         "best_single_removal-network", "check", "shortest_distances",
+        "shortest_path_tree-root", "shortest_path_tree-negative-root",
+        "shortest_path_tree-network",
     ],
 )
 def test_mismatched_inputs_are_input_errors(entry):
