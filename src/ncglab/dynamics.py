@@ -5,6 +5,9 @@ trace is data, not a guarantee: an Equilibrium outcome is certified by the
 concept checker, a revisited network is reported as a cycle, and running
 out of steps (or of checker budget) is reported as such, never silently.
 
+Each step is one checker search (``stability._run_checker``), whatever
+the policy, and no move is priced twice.
+
 Cycle detection compares canonical sorted edge lists exactly; no lossy
 hashing, so collisions are impossible.
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from .engine import CostEngine
 from .errors import InconclusiveSearch, LabInputError
 from .model import Instance, Network
-from .stability import _run_checker, _Search, apply_move, require_concept
+from .stability import _run_checker, apply_move, require_concept
 
 FIRST_FOUND = "first-found"
 BEST_RESPONSE = "best-response"
@@ -45,31 +48,21 @@ def find_improving_move(
 ):
     """One improving move per the policy, or None when the checker proves
     stability. Raises InconclusiveSearch when the budget runs out first.
+
+    Both policies read the checker's verdict (``stability._run_checker``):
+    first-found takes its witness, the first improving move in canonical
+    order; best-response the first of the moves with the largest total
+    strict improvement of the coalition, as priced by the search itself.
     """
     require_concept(concept)
     if policy not in POLICIES:
         raise LabInputError(f"unknown policy {policy!r}; know {POLICIES}")
-
-    if policy == FIRST_FOUND:  # the checker's witness
-        verdict = _run_checker(inst, net, concept, budget, CostEngine(inst))
-        if verdict.inconclusive:
-            raise InconclusiveSearch(verdict.frontier)
-        return verdict.witness
-
-    # best-response: maximize the total strict improvement of the coalition,
-    # ties broken by canonical enumeration order (first wins)
-    search = _Search(inst, net, budget, CostEngine(inst))
-    best_move, best_gain = None, None
-    for move in search.moves(concept):
-        after = apply_move(net, move).edges
-        gain = sum(
-            search.base[m] - search.engine.member_cost(after, m) for m in move.coalition
-        )
-        if best_gain is None or gain > best_gain:
-            best_move, best_gain = move, gain
-    if best_move is None and search.budget_skipped:
-        raise InconclusiveSearch(search.frontier)
-    return best_move
+    verdict = _run_checker(
+        inst, net, concept, budget, CostEngine(inst), largest_gain=policy == BEST_RESPONSE
+    )
+    if verdict.inconclusive:
+        raise InconclusiveSearch(verdict.frontier)
+    return verdict.witness
 
 
 def run_dynamics(
@@ -87,8 +80,8 @@ def run_dynamics(
     construction, so every recorded step replays as a valid improving
     move. Each step's search builds its own engine.
     """
-    if max_steps < 0:
-        raise LabInputError("max_steps must be >= 0")
+    if not (type(max_steps) is int and max_steps >= 0):  # no bool, as in Budget
+        raise LabInputError(f"max_steps must be an int >= 0: {max_steps!r}")
     engine = CostEngine(inst)
     seen = {start.edges: 0}
     net = start

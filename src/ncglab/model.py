@@ -212,10 +212,16 @@ def metric_closure(n: int, weighted_edges) -> HostGraph:
     """Host whose weights are the shortest-path distances of a seed graph.
 
     The closure of any connected non-negative seed satisfies the triangle
-    inequality (distances between distinct nodes may be zero).
+    inequality (distances between distinct nodes may be zero). The host
+    checks of ``validate_host`` hold: n >= 2, and every seed edge joins
+    two of the nodes 0..n-1.
     """
+    if n < 2:
+        raise HostTooSmall(n)
     adj = [[] for _ in range(n)]
     for u, v, w in weighted_edges:
+        if not all(type(x) is int and 0 <= x < n for x in (u, v)):  # no bool
+            raise LabInputError(f"seed edge ({u!r}, {v!r}) leaves nodes 0..{n - 1}")
         w = Fraction(w)
         if w < 0:
             raise NegativeWeight(u, v)

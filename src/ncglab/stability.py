@@ -178,11 +178,15 @@ class Verdict:
 
 def _check_shape(move: Move):
     """Raise ``MoveError`` unless the move has the shape of a deviation: a
-    non-empty coalition, every addition inside it and every removal
-    touching it. Presence in a network is ``apply_move``'s to check."""
+    non-empty coalition, every addition inside it, every removal touching
+    it, and no edge listed twice in either. Presence in a network is
+    ``apply_move``'s to check."""
     members = frozenset(move.coalition)
     if not members:  # would improve every member vacuously
         raise MoveError("move coalition is empty")
+    for edges in (move.removals, move.additions):
+        if len(set(edges)) != len(edges):
+            raise MoveError(f"move lists an edge twice: {edges}")
     for e in move.additions:
         if e[0] not in members or e[1] not in members:
             raise AdditionOutsideCoalition(f"addition {e} not inside coalition")
@@ -342,9 +346,9 @@ class _Search:
             incident = sorted(e for e in self.gkey if u in e)
             for e in incident:
                 self._count_eval()
-                new_key = canonical_edges(eset - {e})
-                if eng.member_cost(new_key, u) < self.base[u]:
-                    yield Move.make((u,), removals=(e,), concept=PS)
+                cost = eng.member_cost(canonical_edges(eset - {e}), u)
+                if cost < self.base[u]:
+                    yield Move.make((u,), removals=(e,), concept=PS), self.base[u] - cost
             for v in range(u + 1, n):
                 if (u, v) in eset:
                     continue
@@ -362,7 +366,8 @@ class _Search:
                     eng.row_after_add(self.gkey, v, u)
                 )
                 if cost_v < self.base[v]:
-                    yield Move.make((u, v), additions=((u, v),), concept=PS)
+                    gain = self.base[u] - cost_u + self.base[v] - cost_v
+                    yield Move.make((u, v), additions=((u, v),), concept=PS), gain
 
     # -- neighborhood and strong equilibrium ----------------------------------
 
@@ -463,12 +468,22 @@ class _Search:
                     continue
                 self._count_eval()
                 new_key = canonical_edges(plus_set - set(rems))
-                if all(eng.member_cost(new_key, m) < self.base[m] for m in added_inc):
-                    yield Move.make(
-                        added_inc, removals=rems, additions=adds, concept=concept
-                    )
+                gain = 0
+                for m in added_inc:  # summed only past the strict test: never inf - inf
+                    cost = eng.member_cost(new_key, m)
+                    if cost >= self.base[m]:
+                        break
+                    gain += self.base[m] - cost
+                else:
+                    move = Move.make(added_inc, rems, adds, concept=concept)
+                    yield move, gain
 
     def moves(self, concept):
+        """Improving moves in canonical order, each as ``(move, gain)``:
+        ``gain`` is the coalition's total strict improvement in scaled
+        units, the sum over members of base cost less new cost, from the
+        costs the search compared (``inf`` for a member whose base cost
+        is). A cut budget ends the iteration early."""
         gen = {PS: self.ps_moves, BNE: self.bne_moves, BSE: self.bse_moves}[concept]
         try:
             yield from gen()
@@ -543,12 +558,24 @@ def _refutes_ps(engine, u, v, before, after, stretched):
     )
 
 
-def _run_checker(inst, net, concept, budget, engine):
+def _run_checker(inst, net, concept, budget, engine, largest_gain=False):
+    """The one search of every checker and of both dynamics policies.
+
+    The witness is the first improving move, or with ``largest_gain`` the
+    first of those with the largest total gain, which runs the search to
+    its end. A move found is Unstable even if the budget cut the search
+    short; no move with a cut is Inconclusive; otherwise Stable.
+    """
     search = _Search(inst, net, budget, engine)
-    for move in search.moves(concept):
+    moves = search.moves(concept)
+    if largest_gain:
+        found = max(moves, key=lambda move_gain: move_gain[1], default=None)
+    else:
+        found = next(moves, None)
+    if found is not None:
         return Verdict(
             status=UNSTABLE,
-            witness=move,
+            witness=found[0],
             moves_evaluated=search.evaluated,
         )
     if search.budget_skipped:

@@ -154,6 +154,13 @@ class TestRunDynamics:
         with pytest.raises(LabInputError):
             L.run_dynamics(inst, L.Network.empty(2), "ps", max_steps=-1)
 
+    @pytest.mark.parametrize("max_steps", [2.5, True, "3", None])
+    def test_max_steps_must_be_a_non_negative_int(self, max_steps):
+        # unchecked, 2.5 never bound and True ran as 1 step
+        inst = L.random_instance(6, "uniform", 0, F(2))
+        with pytest.raises(LabInputError, match="max_steps must be an int >= 0"):
+            L.run_dynamics(inst, L.Network.complete(6), "ps", max_steps=max_steps)
+
     def test_deterministic_traces(self):
         inst = L.random_instance(5, "uniform", 4, F(2))
         a = L.run_dynamics(inst, L.Network.complete(5), "ps", max_steps=100)

@@ -95,6 +95,19 @@ class TestMetricClosure:
         with pytest.raises(DisconnectedSeed):
             L.metric_closure(3, [(0, 1, F(1))])
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_small_host_rejected(self, n):
+        # the check validate_host makes
+        with pytest.raises(L.HostTooSmall):
+            L.metric_closure(n, [])
+
+    @pytest.mark.parametrize("u, v", [(0, -1), (0, 3), (3, 0), (True, 2), (0.0, 1)])
+    def test_seed_edge_outside_nodes_rejected(self, u, v):
+        # -1 would index node 2, and 3 would raise a bare IndexError
+        seed = [(u, v, F(1)), (0, 1, F(1)), (1, 2, F(1))]
+        with pytest.raises(L.LabInputError, match=r"seed edge .* leaves nodes 0\.\.2"):
+            L.metric_closure(3, seed)
+
 
 class TestShortestDistances:
     def test_path_sum(self):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -5,10 +6,12 @@ from itertools import combinations
 import pytest
 
 import ncglab as L
+import ncglab.serialize as S
 from ncglab.engine import CostEngine, canonical_edges
 from ncglab.errors import (
     AdditionAlreadyPresent,
     AdditionOutsideCoalition,
+    InconclusiveSearch,
     MoveError,
     RemovalNotPresent,
 )
@@ -75,6 +78,35 @@ class TestApplyMove:
             lambda: L.move_deltas(inst, net, move),
         ):
             with pytest.raises(MoveError, match=r"leaves nodes 0\.\.3"):
+                call()
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            L.Move.make((1, 2), additions=[(1, 2), (2, 1)]),
+            L.Move.make((0,), removals=[(0, 1), (1, 0)]),
+        ],
+        ids=["additions", "removals"],
+    )
+    def test_edge_listed_twice_rejected(self, move):
+        # (0, 1) is present and (1, 2) absent, so each move is otherwise valid
+        inst = unit_instance(3, 1)
+        net = L.Network.from_pairs(3, [(0, 1)])
+        witness = json.dumps(
+            {
+                "concept": "BSE",
+                "coalition": list(move.coalition),
+                "remove": [list(e) for e in move.removals],
+                "add": [list(e) for e in move.additions],
+            }
+        )
+        for call in (
+            lambda: L.apply_move(net, move),
+            lambda: L.is_improving(inst, net, move),
+            lambda: L.move_deltas(inst, net, move),
+            lambda: S.witness_from_json(witness),
+        ):
+            with pytest.raises(MoveError, match="move lists an edge twice"):
                 call()
 
     def test_input_untouched(self):
@@ -416,6 +448,70 @@ class TestPinnedWork:
         verdict = L.check(inst, net, concept, budget=budget)
         got = (verdict.status, verdict.witness, verdict.moves_evaluated, verdict.frontier)
         assert got == expected
+
+
+def _gain_cases():
+    """(instance, network, concept) on seeded networks, then on random
+    n=4..6 hosts from an empty start and from a start split into two
+    components; bse only for n <= 4."""
+    nets = list(_seeded_networks(53, 40, 5))
+    rng = random.Random(59)
+    for _ in range(12):
+        n = rng.randint(4, 6)
+        alpha = F(rng.randint(1, 6), rng.choice([1, 2]))
+        inst = L.random_instance(n, rng.choice(L.MODELS), rng.randrange(10**6), alpha)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        half = n // 2
+        split = [(u, v) for u, v in pairs if (u < half) == (v < half) and rng.random() < 0.7]
+        nets += [(inst, L.Network.empty(n)), (inst, L.Network.from_pairs(n, split))]
+    for inst, net in nets:
+        for concept in L.CONCEPTS:
+            if concept != "bse" or inst.n <= 4:
+                yield inst, net, concept
+
+
+def _price(inst, net, move):
+    """The coalition's total gain from the move, priced on its own."""
+    return -sum(delta for _, delta in L.move_deltas(inst, net, move))
+
+
+class TestSearchGains:
+    """Each move the search yields carries its coalition's total gain, and
+    best-response takes the first move of the largest gain."""
+
+    def test_yielded_gain_is_the_moves_price(self):
+        infinite = finite = 0
+        for inst, net, concept in _gain_cases():
+            engine = CostEngine(inst)
+            for move, gain in _Search(inst, net, None, engine).moves(concept):
+                assert engine.to_cost(gain) == _price(inst, net, move) > 0
+                infinite += L.is_inf(gain)
+                finite += not L.is_inf(gain)
+        assert infinite > 0 and finite > 0
+
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_best_response_takes_the_first_largest_price(self, budgeted):
+        outcomes = set()
+        for inst, net, concept in _gain_cases():
+            budget = None
+            if budgeted:  # half the moves the whole search evaluates
+                search = _Search(inst, net, None, CostEngine(inst))
+                list(search.moves(concept))
+                budget = L.Budget(max_moves=search.evaluated // 2)
+            search = _Search(inst, net, budget, CostEngine(inst))
+            moves = [move for move, _ in search.moves(concept)]
+            prices = [_price(inst, net, move) for move in moves]
+            if moves:
+                expected = moves[prices.index(max(prices))]
+            else:
+                expected = "inconclusive" if search.budget_skipped else None
+            try:
+                got = L.find_improving_move(inst, net, concept, "best-response", budget)
+            except InconclusiveSearch:
+                got = "inconclusive"
+            assert got == expected
+            outcomes.add("move" if moves else expected)
+        assert {"move", "inconclusive" if budgeted else None} <= outcomes
 
 
 class TestBudgets:

@@ -108,3 +108,20 @@ def test_dynamics_spans_every_step_search():
     metrics = tracer.metrics()
     assert metrics["dynamics.find_move.calls"] == steps + 1
     assert metrics["dynamics.steps"] == steps
+
+
+def test_best_response_steps_are_checker_searches():
+    # both policies search through _run_checker, so the tracer sees one
+    # check span per step search and counts its evaluated moves
+    tracer = _load_tracing().Tracer()
+    inst = L.random_instance(5, "uniform", 4, F(2))
+    with tracer.installed():
+        trace = L.run_dynamics(
+            inst, L.Network.complete(5), "bne", "best-response", max_steps=100
+        )
+    assert trace.outcome == "equilibrium" and trace.steps
+    searches = [sid for sid, _, name, *_ in tracer.spans if name == "dynamics.find_move"]
+    checks = [(parent, name) for _, parent, name, *_ in tracer.spans if "check" in name]
+    assert len(searches) == len(trace.steps) + 1
+    assert sorted(checks) == [(sid, "stability.check.bne") for sid in sorted(searches)]
+    assert tracer.metrics()["stability.moves_evaluated"] > 0
