@@ -13,16 +13,17 @@ from .dynamics import EQUILIBRIUM, FIRST_FOUND, run_dynamics
 from .engine import CostEngine
 from .errors import BoundViolation, InstanceTooLarge, LabInputError
 from .fixtures import FAMILIES, generate
-from .model import Instance, Network, cost_report, is_metric, spanner_stretch
+from .model import Instance, Network, cost_report, is_metric
 from .optimum import (
     _minimum_spanning_tree,
     _random_spanning_tree,
+    _require_stretch,
     connected_subgraphs,
     opt_spanner_check,
     social_optimum,
 )
 from .randomgen import random_instance
-from .scalars import cost_ratio, format_rational, is_inf
+from .scalars import cost_ratio, format_rational
 from .stability import BNE, BSE, CONCEPTS, PS, Budget, _run_checker, ps_prefilter, require_concept
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
@@ -245,7 +246,12 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(self.n_values))
+        ints = {"n": self.n_values, "count": (self.count,), "seed": (self.seed,)}
+        for name, values in ints.items():
+            for x in values:
+                if type(x) is not int:  # int() would truncate a float and accept a bool
+                    raise LabInputError(f"sweep {name} must be an int: {x!r}")
         for alpha in self.alphas:
             if alpha <= 0:
                 raise LabInputError(f"alpha must be positive, got {alpha}")
@@ -258,32 +264,25 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """What one grid cell measured. ``poa_sweep`` raises on a failed bound
+    check, so a bound column reads ``ok`` exactly when its check ran: the
+    ratio caps given a ratio (the metric cap on metric hosts), the network
+    bounds given listed stable networks, opt-stretch given a proven optimum."""
+
     point: PoaPoint
     metric: bool
     stable_count: int  # -1 when the full set was not materialized
-    bound_2a1: str  # "ok" / "n/a"
-    bound_metric: str  # ratio <= min(alpha+1, 2(n-1)) on metric instances
-    bound_stretch: str  # stretch <= alpha+1 on every stable network seen
-    bound_edge_cost: str  # alpha w(E) <= (2 alpha/(n-1) + 1) sum_d
-    bound_opt_stretch: str
     expected_ratio: Fraction = None  # fixture families
     bse_distance_advisory: str = None  # recorded only, asymptotic constant
 
 
 def _check_network_bounds(inst, net, diagnostics):
     """Proven per-network facts for stable networks; raises BoundViolation."""
-    alpha = inst.alpha
-    n = inst.n
-    stretch = spanner_stretch(net, inst.host)
-    if is_inf(stretch) or stretch > alpha + 1:
-        raise BoundViolation(
-            f"stable network stretch {stretch} exceeds {alpha + 1}",
-            diagnostics | {"edges": list(net.edges), "stretch": str(stretch)},
-        )
+    _require_stretch(inst, net, "stable network", diagnostics)
     report = cost_report(inst, net)
     edge_total = sum(report.edge_costs) / 2  # both endpoints pay: 2 alpha w(E)
     dist_total = sum(report.distance_costs)
-    if edge_total > (2 * alpha / (n - 1) + 1) * dist_total:
+    if edge_total > (2 * inst.alpha / (inst.n - 1) + 1) * dist_total:
         raise BoundViolation(
             "stable network edge cost exceeds the distance-cost bound",
             diagnostics | {"edges": list(net.edges)},
@@ -296,7 +295,7 @@ def _sweep_instances(cfg):
     for n in cfg.n_values:
         for alpha in cfg.alphas:
             if cfg.family == "random":
-                for i in range(cfg.count):
+                for _ in range(cfg.count):
                     seed = cfg.seed + idx
                     inst = random_instance(n, cfg.model, seed, alpha)
                     yield f"{cfg.model}(seed={seed},n={n},alpha={alpha})", inst, None
@@ -308,7 +307,6 @@ def _sweep_instances(cfg):
                     None if fixture.ratio_is_asymptotic_only else fixture.expected_ratio
                 )
                 yield label, fixture.instance, expected
-                idx += 1
 
 
 def poa_sweep(cfg: SweepConfig) -> "SweepReport":
@@ -331,34 +329,22 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
         )
         ratio = point.ratio
         diagnostics = {"label": label, "alpha": str(inst.alpha), "n": inst.n}
-        alpha = inst.alpha
-        bound_2a1 = "n/a"
-        bound_metric = "n/a"
         if ratio is not None:
-            if ratio > 2 * (alpha + 1):
+            if ratio > 2 * (inst.alpha + 1):
                 raise BoundViolation(
                     f"{label}: ratio {ratio} exceeds 2(alpha+1)", diagnostics
                 )
-            bound_2a1 = "ok"
-            if metric:
-                cap = min(alpha + 1, Fraction(2 * (inst.n - 1)))
-                if ratio > cap:
-                    raise BoundViolation(
-                        f"{label}: metric ratio {ratio} exceeds {cap}", diagnostics
-                    )
-                bound_metric = "ok"
-        nets_to_check = stable_nets or ()
-        for net in nets_to_check:
+            cap = min(inst.alpha + 1, Fraction(2 * (inst.n - 1)))
+            if metric and ratio > cap:
+                raise BoundViolation(
+                    f"{label}: metric ratio {ratio} exceeds {cap}", diagnostics
+                )
+        for net in stable_nets or ():
             _check_network_bounds(inst, net, diagnostics)
-        bound_stretch = "ok" if nets_to_check else "n/a"
-        bound_edge = "ok" if nets_to_check else "n/a"
         if opt.proven:
             opt_spanner_check(inst, opt)
-            bound_opt = "ok"
-        else:
-            bound_opt = "n/a"
         advisory = None
-        if cfg.concept == BSE and metric and point.stable_found and stable_nets:
+        if cfg.concept == BSE and metric and stable_nets:
             engine = CostEngine(inst)
             worst_net = max(
                 stable_nets,
@@ -368,17 +354,12 @@ def poa_sweep(cfg: SweepConfig) -> "SweepReport":
             d_opt = sum(cost_report(inst, opt.network).distance_costs)
             if d_opt > 0:
                 measured = float(d_worst / d_opt)
-                advisory = f"{measured:.3f}<=?{380 * float(alpha) ** 0.5:.3f}"
+                advisory = f"{measured:.3f}<=?{380 * float(inst.alpha) ** 0.5:.3f}"
         rows.append(
             SweepRow(
                 point=point,
                 metric=metric,
                 stable_count=-1 if stable_nets is None else len(stable_nets),
-                bound_2a1=bound_2a1,
-                bound_metric=bound_metric,
-                bound_stretch=bound_stretch,
-                bound_edge_cost=bound_edge,
-                bound_opt_stretch=bound_opt,
                 expected_ratio=expected,
                 bse_distance_advisory=advisory,
             )
@@ -391,9 +372,7 @@ def _fmt(x):
         return "-"
     if isinstance(x, bool):
         return "yes" if x else "no"
-    if isinstance(x, (Fraction, int, float)):
-        return format_rational(x) if not isinstance(x, float) else repr(x)
-    return str(x)
+    return format_rational(x)  # a Fraction, an int or inf
 
 
 @dataclass(frozen=True)
@@ -412,6 +391,8 @@ class SweepReport:
         ]
         for r in self.rows:
             p = r.point
+            rated, listed = p.ratio is not None, r.stable_count > 0
+            ran = (rated, rated and r.metric, listed, listed, p.opt_proven)
             lines.append(
                 " | ".join(
                     [
@@ -425,11 +406,7 @@ class SweepReport:
                         _fmt(p.complete),
                         _fmt(r.metric),
                         str(r.stable_count),
-                        r.bound_2a1,
-                        r.bound_metric,
-                        r.bound_stretch,
-                        r.bound_edge_cost,
-                        r.bound_opt_stretch,
+                        *("ok" if check else "n/a" for check in ran),
                         _fmt(r.expected_ratio),
                         r.bse_distance_advisory or "-",
                     ]

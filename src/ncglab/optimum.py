@@ -238,19 +238,21 @@ def heuristic_opt(inst: Instance, seed: int = 0):
     )
 
 
+def _require_stretch(inst: Instance, net: Network, what: str, diagnostics: dict):
+    """Stretch of ``net`` over the host; raises BoundViolation above alpha + 1,
+    the bound on every stable network and on a proven optimum."""
+    stretch = spanner_stretch(net, inst.host)
+    bound = inst.alpha + 1
+    if is_inf(stretch) or stretch > bound:
+        raise BoundViolation(
+            f"{what} stretch {stretch} exceeds {bound}",
+            diagnostics | {"edges": list(net.edges), "stretch": str(stretch)},
+        )
+    return stretch
+
+
 def opt_spanner_check(inst: Instance, opt: OptResult):
     """Stretch of a proven optimum; raises BoundViolation above alpha + 1."""
     if not opt.proven:
         raise NotProvenOptimal("spanner guarantee only holds for proven optima")
-    stretch = spanner_stretch(opt.network, inst.host)
-    bound = inst.alpha + 1
-    if is_inf(stretch) or stretch > bound:
-        raise BoundViolation(
-            f"optimum stretch {stretch} exceeds {bound}",
-            diagnostics={
-                "alpha": str(inst.alpha),
-                "edges": list(opt.network.edges),
-                "stretch": str(stretch),
-            },
-        )
-    return stretch
+    return _require_stretch(inst, opt.network, "optimum", {"alpha": str(inst.alpha)})

@@ -8,7 +8,7 @@ it cannot read into a value, never a bare ``KeyError`` or ``TypeError``.
 """
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .errors import LabInputError, MoveError
 from .fixtures import Fixture
@@ -131,19 +131,18 @@ def _network(data, n) -> Network:
 
 # -- witnesses ------------------------------------------------------------------
 
+def _move_payload(move: Move) -> dict:
+    return {
+        "coalition": list(move.coalition),
+        "remove": [[u, v] for u, v in move.removals],
+        "add": [[u, v] for u, v in move.additions],
+    }
+
+
 def witness_to_json(move: Move, deltas) -> str:
     """A witness file: the move and its ``stability.move_deltas``."""
-    return _dump(
-        {
-            "concept": move.concept.upper(),
-            "coalition": list(move.coalition),
-            "remove": [[u, v] for u, v in move.removals],
-            "add": [[u, v] for u, v in move.additions],
-            "deltas": {
-                str(node): format_rational(delta) for node, delta in deltas
-            },
-        }
-    )
+    deltas = {str(node): format_rational(delta) for node, delta in deltas}
+    return _dump(_move_payload(move) | {"concept": move.concept.upper(), "deltas": deltas})
 
 
 def witness_from_json(text: str) -> Move:
@@ -170,11 +169,8 @@ def _witness(data) -> Move:
 
 def opt_to_json(opt) -> str:
     return _dump(
-        {
-            "edges": [[u, v] for u, v in opt.network.edges],
-            "cost": format_rational(opt.cost),
-            "proven": opt.proven,
-        }
+        _network_payload(opt.network)
+        | {"cost": format_rational(opt.cost), "proven": opt.proven}
     )
 
 
@@ -241,12 +237,7 @@ def trace_to_json(trace) -> str:
             "cycle_period": trace.cycle_period,
             "note": trace.note,
             "steps": [
-                {
-                    "coalition": list(move.coalition),
-                    "remove": [[u, v] for u, v in move.removals],
-                    "add": [[u, v] for u, v in move.additions],
-                    "social_cost": format_rational(cost),
-                }
+                _move_payload(move) | {"social_cost": format_rational(cost)}
                 for move, cost in trace.steps
             ],
         }
@@ -267,11 +258,11 @@ def _sweep_config(data) -> SweepConfig:
     return SweepConfig(
         family=data["family"],
         concept=str(data["concept"]).lower(),
-        n_values=tuple(_int(n, "n") for n in _list(data["n_values"], "n_values")),
+        n_values=tuple(_list(data["n_values"], "n_values")),
         alphas=tuple(_rational(a, "alphas") for a in _list(data["alphas"], "alphas")),
         model=data.get("model", "uniform"),
-        count=_int(data.get("count", 1), "count"),
-        seed=_int(data.get("seed", 0), "seed"),
+        count=data.get("count", 1),
+        seed=data.get("seed", 0),
         variant=(data.get("variant") or None) and str(data.get("variant")).lower(),
         budget=budget,
     )
@@ -289,9 +280,5 @@ def sweep_config_to_json(cfg: SweepConfig) -> str:
         "variant": cfg.variant,
     }
     if cfg.budget:
-        payload["budget"] = {
-            "max_coalition": cfg.budget.max_coalition,
-            "max_changes": cfg.budget.max_changes,
-            "max_moves": cfg.budget.max_moves,
-        }
+        payload["budget"] = asdict(cfg.budget)
     return _dump(payload)

@@ -178,15 +178,19 @@ class Verdict:
 
 def _check_shape(move: Move):
     """Raise ``MoveError`` unless the move has the shape of a deviation: a
-    non-empty coalition, every addition inside it, every removal touching
-    it, and no edge listed twice in either. Presence in a network is
-    ``apply_move``'s to check."""
+    non-empty coalition with no member twice, every addition inside it,
+    every removal touching it, no self-loop and no edge listed twice.
+    Presence in a network is ``apply_move``'s to check."""
     members = frozenset(move.coalition)
     if not members:  # would improve every member vacuously
         raise MoveError("move coalition is empty")
+    if len(members) != len(move.coalition):
+        raise MoveError(f"move coalition lists a member twice: {move.coalition}")
     for edges in (move.removals, move.additions):
         if len(set(edges)) != len(edges):
             raise MoveError(f"move lists an edge twice: {edges}")
+        if any(u == v for u, v in edges):
+            raise MoveError(f"move has a self-loop: {edges}")
     for e in move.additions:
         if e[0] not in members or e[1] not in members:
             raise AdditionOutsideCoalition(f"addition {e} not inside coalition")

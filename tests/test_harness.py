@@ -13,7 +13,7 @@ import ncglab.harness as H
 import ncglab.properties as P
 import ncglab.stability as S
 from ncglab.engine import CostEngine
-from ncglab.errors import BoundViolation, InstanceTooLarge
+from ncglab.errors import BoundViolation, InstanceTooLarge, LabInputError
 from ncglab.optimum import OptResult, connected_subgraphs
 from ncglab.randomgen import MODELS
 from ncglab.properties import property_suite, shrink_counterexample
@@ -320,6 +320,95 @@ class TestPoaPoint:
             assert point.ratio is not None
 
 
+SWEEP_COLUMNS = (
+    "label | n | alpha | worst | opt | proven | ratio | complete | metric | "
+    "stable# | 2(a+1) | metric-cap | stretch | edge-cost | opt-stretch | "
+    "expected | bse-advisory"
+)
+
+# config, render() lines without SWEEP_COLUMNS, render_jsonl() lines;
+# together they reach both values of every bound column, the expected
+# column and the advisory
+PINNED_SWEEPS = {
+    # every check runs, and the bse advisory is written
+    "tree_bse_n4": (
+        dict(
+            family="random",
+            concept="bse",
+            n_values=(4,),
+            alphas=(F(4),),
+            model="tree",
+            count=2,
+            seed=1,
+        ),
+        [
+            "sweep family=random concept=bse model=tree seed=1 count=2",
+            "tree(seed=1,n=4,alpha=4) | 4 | 4 | 182 | 130 | yes | 7/5 | yes | yes | 7 | ok | ok | ok | ok | ok | - | 1.345<=?760.000",
+            "tree(seed=2,n=4,alpha=4) | 4 | 4 | 382 | 238 | yes | 191/119 | yes | yes | 8 | ok | ok | ok | ok | ok | - | 1.706<=?760.000",
+        ],
+        [
+            '{"alpha": "4", "bse_advisory": "1.345<=?760.000", "complete": true, "concept": "bse", "expected_ratio": "-", "label": "tree(seed=1,n=4,alpha=4)", "metric": true, "n": 4, "opt": "130", "opt_proven": true, "ratio": "7/5", "stable_count": 7, "worst": "182"}',
+            '{"alpha": "4", "bse_advisory": "1.706<=?760.000", "complete": true, "concept": "bse", "expected_ratio": "-", "label": "tree(seed=2,n=4,alpha=4)", "metric": true, "n": 4, "opt": "238", "opt_proven": true, "ratio": "191/119", "stable_count": 8, "worst": "382"}',
+        ],
+    ),
+    # beyond the bse enumeration limit: sampled, no stable set listed
+    "tree_bse_n7": (
+        dict(family="random", concept="bse", n_values=(7,), alphas=(F(2),), model="tree", count=2),
+        [
+            "sweep family=random concept=bse model=tree seed=0 count=2",
+            "tree(seed=0,n=7,alpha=2) | 7 | 2 | 784 | 784 | yes | 1 | no | yes | -1 | ok | ok | n/a | n/a | ok | - | -",
+            "tree(seed=1,n=7,alpha=2) | 7 | 2 | 1100 | 800 | yes | 11/8 | no | yes | -1 | ok | ok | n/a | n/a | ok | - | -",
+        ],
+        [
+            '{"alpha": "2", "bse_advisory": null, "complete": false, "concept": "bse", "expected_ratio": "-", "label": "tree(seed=0,n=7,alpha=2)", "metric": true, "n": 7, "opt": "784", "opt_proven": true, "ratio": "1", "stable_count": -1, "worst": "784"}',
+            '{"alpha": "2", "bse_advisory": null, "complete": false, "concept": "bse", "expected_ratio": "-", "label": "tree(seed=1,n=7,alpha=2)", "metric": true, "n": 7, "opt": "800", "opt_proven": true, "ratio": "11/8", "stable_count": -1, "worst": "1100"}',
+        ],
+    ),
+    # a non-metric host: no metric cap
+    "uniform_bne_n4": (
+        dict(family="random", concept="bne", n_values=(4,), alphas=(F(2),), count=2),
+        [
+            "sweep family=random concept=bne model=uniform seed=0 count=2",
+            "uniform(seed=0,n=4,alpha=2) | 4 | 2 | 5343/32 | 3713/32 | yes | 5343/3713 | yes | no | 5 | ok | n/a | ok | ok | ok | - | -",
+            "uniform(seed=1,n=4,alpha=2) | 4 | 2 | 3689/32 | 3689/32 | yes | 1 | yes | no | 1 | ok | n/a | ok | ok | ok | - | -",
+        ],
+        [
+            '{"alpha": "2", "bse_advisory": null, "complete": true, "concept": "bne", "expected_ratio": "-", "label": "uniform(seed=0,n=4,alpha=2)", "metric": false, "n": 4, "opt": "3713/32", "opt_proven": true, "ratio": "5343/3713", "stable_count": 5, "worst": "5343/32"}',
+            '{"alpha": "2", "bse_advisory": null, "complete": true, "concept": "bne", "expected_ratio": "-", "label": "uniform(seed=1,n=4,alpha=2)", "metric": false, "n": 4, "opt": "3689/32", "opt_proven": true, "ratio": "1", "stable_count": 1, "worst": "3689/32"}',
+        ],
+    ),
+    # a fixture family: the expected ratio
+    "zero_cluster_bse_n4": (
+        dict(family="zero_cluster", concept="bse", n_values=(4,), alphas=(F(2),)),
+        [
+            "sweep family=zero_cluster concept=bse model=uniform seed=0 count=1",
+            "zero_cluster(n=4,alpha=2) | 4 | 2 | 30 | 10 | yes | 3 | yes | no | 12 | ok | n/a | ok | ok | ok | 3 | -",
+        ],
+        [
+            '{"alpha": "2", "bse_advisory": null, "complete": true, "concept": "bse", "expected_ratio": "3", "label": "zero_cluster(n=4,alpha=2)", "metric": false, "n": 4, "opt": "10", "opt_proven": true, "ratio": "3", "stable_count": 12, "worst": "30"}',
+        ],
+    ),
+    # no endpoint certified within the budget, and a heuristic optimum
+    "tree_bse_n8_budget": (
+        dict(
+            family="random",
+            concept="bse",
+            n_values=(8,),
+            alphas=(F(2),),
+            model="tree",
+            budget=L.Budget(max_moves=1),
+        ),
+        [
+            "sweep family=random concept=bse model=tree seed=0 count=1",
+            "tree(seed=0,n=8,alpha=2) | 8 | 2 | - | 982 | no | - | no | yes | -1 | n/a | n/a | n/a | n/a | n/a | - | -",
+        ],
+        [
+            '{"alpha": "2", "bse_advisory": null, "complete": false, "concept": "bse", "expected_ratio": "-", "label": "tree(seed=0,n=8,alpha=2)", "metric": true, "n": 8, "opt": "982", "opt_proven": false, "ratio": "-", "stable_count": -1, "worst": "-"}',
+        ],
+    ),
+}
+
+
 class TestPoaSweep:
     def test_zero_cluster_sweep_ratios_exact(self):
         cfg = L.SweepConfig(
@@ -332,7 +421,6 @@ class TestPoaSweep:
         for row in report.rows:
             assert row.point.ratio == row.point.alpha + 1
             assert row.point.ratio == row.expected_ratio
-            assert row.bound_2a1 == "ok"
 
     def test_uniform_sweep_no_violations(self):
         cfg = L.SweepConfig(
@@ -346,9 +434,6 @@ class TestPoaSweep:
         )
         report = L.poa_sweep(cfg)  # would raise BoundViolation on any breach
         assert len(report.rows) == 12
-        for row in report.rows:
-            if row.point.ratio is not None:
-                assert row.bound_2a1 == "ok"
 
     def test_tree_sweep_checks_metric_caps(self):
         cfg = L.SweepConfig(
@@ -363,8 +448,6 @@ class TestPoaSweep:
         report = L.poa_sweep(cfg)
         for row in report.rows:
             assert row.metric
-            if row.point.ratio is not None:
-                assert row.bound_metric == "ok"
 
     def test_reports_are_byte_identical_across_runs(self):
         cfg = L.SweepConfig(
@@ -393,6 +476,31 @@ class TestPoaSweep:
         )
         report = L.poa_sweep(cfg)
         assert any(row.bse_distance_advisory for row in report.rows)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+    def test_report_bytes_are_pinned(self, name):
+        config, rows, jsonl = PINNED_SWEEPS[name]
+        report = L.poa_sweep(L.SweepConfig(**config))
+        assert report.render() == "\n".join([rows[0], SWEEP_COLUMNS, *rows[1:]])
+        assert report.render_jsonl() == "\n".join(jsonl)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_values", (4.7,)),
+            ("n_values", ("4",)),
+            ("n_values", (True,)),
+            ("count", 1.5),
+            ("count", True),
+            ("seed", "x"),
+        ],
+        ids=["n-float", "n-text", "n-bool", "count-float", "count-bool", "seed-text"],
+    )
+    def test_config_refuses_what_the_loader_refuses(self, field, value):
+        fields = {"family": "random", "concept": "ps", "n_values": (4,), "alphas": (F(1),)}
+        name = "n" if field == "n_values" else field
+        with pytest.raises(LabInputError, match=f"sweep {name} must be an int"):
+            L.SweepConfig(**fields | {field: value})
 
 
 class TestRandomInstances:

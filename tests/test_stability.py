@@ -81,14 +81,16 @@ class TestApplyMove:
                 call()
 
     @pytest.mark.parametrize(
-        "move",
+        "move, message",
         [
-            L.Move.make((1, 2), additions=[(1, 2), (2, 1)]),
-            L.Move.make((0,), removals=[(0, 1), (1, 0)]),
+            (L.Move.make((1, 2), additions=[(1, 2), (2, 1)]), "move lists an edge twice"),
+            (L.Move.make((0,), removals=[(0, 1), (1, 0)]), "move lists an edge twice"),
+            (L.Move.make((1,), additions=[(1, 1)]), "move has a self-loop"),
+            (L.Move.make((0, 0), removals=[(0, 1)]), "move coalition lists a member twice"),
         ],
-        ids=["additions", "removals"],
+        ids=["additions", "removals", "self-loop", "member-twice"],
     )
-    def test_edge_listed_twice_rejected(self, move):
+    def test_edge_listed_twice_rejected(self, move, message):
         # (0, 1) is present and (1, 2) absent, so each move is otherwise valid
         inst = unit_instance(3, 1)
         net = L.Network.from_pairs(3, [(0, 1)])
@@ -106,7 +108,7 @@ class TestApplyMove:
             lambda: L.move_deltas(inst, net, move),
             lambda: S.witness_from_json(witness),
         ):
-            with pytest.raises(MoveError, match="move lists an edge twice"):
+            with pytest.raises(MoveError, match=message):
                 call()
 
     def test_input_untouched(self):
