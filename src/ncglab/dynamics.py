@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .engine import CostEngine
 from .errors import InconclusiveSearch, LabInputError
 from .model import Instance, Network
+from .scalars import parse_int
 from .stability import _run_checker, apply_move, require_concept
 
 FIRST_FOUND = "first-found"
@@ -80,8 +81,7 @@ def run_dynamics(
     construction, so every recorded step replays as a valid improving
     move. Each step's search builds its own engine.
     """
-    if not (type(max_steps) is int and max_steps >= 0):  # no bool, as in Budget
-        raise LabInputError(f"max_steps must be an int >= 0: {max_steps!r}")
+    parse_int(max_steps, "max_steps", least=0)
     engine = CostEngine(inst)
     seen = {start.edges: 0}
     net = start

@@ -40,7 +40,7 @@ from .model import (
     validate_host,
 )
 from .optimum import brute_force_opt
-from .scalars import cost_ratio, sqrt_exact
+from .scalars import cost_ratio, parse_alpha, parse_int, parse_rational, sqrt_exact
 from .stability import BNE, BSE, PS, Budget, check
 
 
@@ -85,6 +85,8 @@ class Fixture:
     expected_ratio: Fraction
 
     def __post_init__(self):
+        ratio = parse_rational(self.expected_ratio, "expected_ratio")
+        object.__setattr__(self, "expected_ratio", ratio)
         concepts = _family(self.family).concepts
         if self.claimed_concept not in concepts:
             raise LabInputError(
@@ -131,9 +133,8 @@ def gen_general_bse(n: int, alpha: Fraction) -> Fixture:
     Nodes 0..n-2 form the zero-weight cluster, node n-1 is remote:
     w(0, n-1) = alpha + 1 and w(i, n-1) = 1 for the other cluster nodes.
     """
-    if n <= 2:
-        raise LabInputError(f"zero_cluster needs n > 2, got {n}")
-    alpha = Fraction(alpha)
+    parse_int(n, "zero_cluster n", least=3)
+    alpha = parse_rational(alpha, "alpha")
     remote = n - 1
     w = [[Fraction(0)] * n for _ in range(n)]
     w[0][remote] = w[remote][0] = alpha + 1
@@ -160,11 +161,8 @@ def _star_ratio(n, a, b):
 
 def gen_metric_star(n: int, alpha: Fraction, variant: str = PS) -> Fixture:
     """two_tier_star fixture: node 0 is the heavy leaf, 1 the old center."""
-    if n < 4:
-        raise LabInputError(f"two_tier_star needs n >= 4, got {n}")
-    alpha = Fraction(alpha)
-    if alpha <= 0:  # the tier weights divide by alpha
-        raise LabInputError(f"alpha must be positive, got {alpha}")
+    parse_int(n, "two_tier_star n", least=4)
+    alpha = parse_alpha(alpha)  # before any Instance: the tier weights divide by alpha
     if variant == PS:
         a, b = Fraction(1), 2 / alpha
     elif variant == BNE:
@@ -198,7 +196,8 @@ def gen_metric_path(n: int, alpha: Fraction) -> Fixture:
     so alpha must be an integer perfect square >= 16 (making x >= 2 exact)
     and at most n^2 (keeping the path inside the node budget).
     """
-    alpha = Fraction(alpha)
+    parse_int(n, "cluster_path n")
+    alpha = parse_rational(alpha, "alpha")
     root = sqrt_exact(alpha)
     if root is None or root.denominator != 1:
         raise AlphaNotSquare(f"cluster_path needs an integer square alpha, got {alpha}")

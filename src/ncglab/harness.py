@@ -23,7 +23,7 @@ from .optimum import (
     social_optimum,
 )
 from .randomgen import random_instance
-from .scalars import cost_ratio, format_rational
+from .scalars import cost_ratio, format_rational, parse_alpha, parse_int, parse_list
 from .stability import BNE, BSE, CONCEPTS, PS, Budget, _run_checker, ps_prefilter, require_concept
 
 ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
@@ -245,21 +245,15 @@ class SweepConfig:
     budget: Budget = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        ints = {"n": self.n_values, "count": (self.count,), "seed": (self.seed,)}
-        for name, values in ints.items():
-            for x in values:
-                if type(x) is not int:  # int() would truncate a float and accept a bool
-                    raise LabInputError(f"sweep {name} must be an int: {x!r}")
-        for alpha in self.alphas:
-            if alpha <= 0:
-                raise LabInputError(f"alpha must be positive, got {alpha}")
+        alphas = parse_list(self.alphas, "sweep alphas")
+        object.__setattr__(self, "alphas", tuple(parse_alpha(a) for a in alphas))
+        n_values = parse_list(self.n_values, "sweep n_values")
+        object.__setattr__(self, "n_values", tuple(parse_int(n, "sweep n") for n in n_values))
+        parse_int(self.count, "sweep count", least=1)
+        parse_int(self.seed, "sweep seed")
         if self.family != "random" and self.family not in FAMILIES:
             raise LabInputError(f"unknown family {self.family!r}")
         require_concept(self.concept)
-        if self.count < 1:
-            raise LabInputError(f"count must be at least 1, got {self.count}")
 
 
 @dataclass(frozen=True)

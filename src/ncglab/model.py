@@ -27,7 +27,7 @@ from .errors import (
     NegativeWeight,
     NonzeroDiagonal,
 )
-from .scalars import INF, is_inf
+from .scalars import INF, is_inf, is_int, parse_alpha, parse_int, parse_list, parse_rational
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,7 @@ class Instance:
     alpha: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.alpha, Fraction):
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha <= 0:
-            raise LabInputError(f"alpha must be positive, got {self.alpha}")
+        object.__setattr__(self, "alpha", parse_alpha(self.alpha))
 
     @property
     def n(self) -> int:
@@ -76,10 +73,11 @@ class Network:
     def from_pairs(cls, n: int, pairs) -> "Network":
         canon = set()
         for u, v in pairs:
+            u, v = parse_int(u, "node id"), parse_int(v, "node id")
             if u == v:
-                raise ValueError(f"self-loop at node {u}")
+                raise LabInputError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside node range 0..{n - 1}")
+                raise LabInputError(f"edge ({u},{v}) outside node range 0..{n - 1}")
             canon.add((u, v) if u < v else (v, u))
         return cls(n=n, edges=tuple(sorted(canon)))
 
@@ -122,14 +120,14 @@ class MetricReport:
 
 def validate_host(weights) -> HostGraph:
     """Build a HostGraph from a square matrix, verifying all invariants."""
-    n = len(weights)
+    n = len(parse_list(weights, "host weights"))
     if n < 2:
         raise HostTooSmall(n)
     rows = []
-    for u in range(n):
-        if len(weights[u]) != n:
-            raise ValueError(f"row {u} has length {len(weights[u])}, expected {n}")
-        rows.append(tuple(Fraction(w) for w in weights[u]))
+    for u, row in enumerate(weights):
+        if len(parse_list(row, "host weights row")) != n:
+            raise LabInputError(f"row {u} has length {len(row)}, expected {n}")
+        rows.append(tuple(parse_rational(w, "host weight") for w in row))
     for u in range(n):
         if rows[u][u] != 0:
             raise NonzeroDiagonal(u)
@@ -198,10 +196,16 @@ def _weighted_adjacency(net: Network, host: HostGraph):
     return adj
 
 
-def shortest_distances(net: Network, host: HostGraph) -> DistanceMatrix:
-    """Exact all-pairs shortest paths of the network; inf marks unreachable."""
+def _require_same_nodes(host, net):
+    """Raise ``LabInputError`` unless the network lives on the nodes of
+    ``host``, a host or an instance."""
     if net.n != host.n:
         raise LabInputError("network and host disagree on node count")
+
+
+def shortest_distances(net: Network, host: HostGraph) -> DistanceMatrix:
+    """Exact all-pairs shortest paths of the network; inf marks unreachable."""
+    _require_same_nodes(host, net)
     adj = _weighted_adjacency(net, host)
     rows = tuple(tuple(_dijkstra(net.n, adj, s)) for s in range(net.n))
     connected = all(not is_inf(d) for row in rows for d in row)
@@ -216,13 +220,13 @@ def metric_closure(n: int, weighted_edges) -> HostGraph:
     checks of ``validate_host`` hold: n >= 2, and every seed edge joins
     two of the nodes 0..n-1.
     """
-    if n < 2:
+    if parse_int(n, "host n") < 2:
         raise HostTooSmall(n)
     adj = [[] for _ in range(n)]
-    for u, v, w in weighted_edges:
-        if not all(type(x) is int and 0 <= x < n for x in (u, v)):  # no bool
+    for u, v, w in parse_list(weighted_edges, "seed edges"):
+        if not all(is_int(x) and 0 <= x < n for x in (u, v)):
             raise LabInputError(f"seed edge ({u!r}, {v!r}) leaves nodes 0..{n - 1}")
-        w = Fraction(w)
+        w = parse_rational(w, "seed edge weight")
         if w < 0:
             raise NegativeWeight(u, v)
         adj[u].append((v, w))
@@ -267,9 +271,10 @@ def star_social_cost(n: int, alpha: Fraction, total_weight: Fraction) -> Fractio
 
     Independent cross-check for cost_report on stars.
     """
-    if n < 2:
+    if parse_int(n, "star n") < 2:
         raise HostTooSmall(n)
-    return (2 * n - 2 + 2 * Fraction(alpha)) * Fraction(total_weight)
+    factor = 2 * n - 2 + 2 * parse_rational(alpha, "alpha")
+    return factor * parse_rational(total_weight, "star total_weight")
 
 
 def spanner_stretch(net: Network, host: HostGraph):
@@ -298,8 +303,7 @@ def shortest_path_tree(net: Network, host: HostGraph, z: int) -> Network:
     Parent of u is the smallest-index neighbor v with
     d(z,v) + w(v,u) = d(z,u), so the tree is deterministic.
     """
-    if net.n != host.n:
-        raise LabInputError("network and host disagree on node count")
+    _require_same_nodes(host, net)
     if not 0 <= z < net.n:
         raise LabInputError(f"root {z} outside nodes 0..{net.n - 1}")
     adj = _weighted_adjacency(net, host)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import LabInputError
 from .model import Instance, metric_closure, validate_host
+from .scalars import parse_int
 
 MODELS = ("uniform", "euclidean", "tree")
 _GRID = 64  # denominator of the uniform model's weight grid
@@ -26,9 +27,8 @@ TREE_WEIGHTS = (1, 10)  # tree model's integer edge-weight range
 
 
 def random_instance(n: int, model: str, seed: int, alpha) -> Instance:
-    if n < 2:
-        raise LabInputError(f"need n >= 2, got {n}")
-    rng = random.Random(f"{model}:{n}:{seed}")
+    parse_int(n, "random instance n", least=2)
+    rng = random.Random(f"{model}:{n}:{parse_int(seed, 'random instance seed')}")
     if model == "uniform":
         lo_ticks, hi_ticks = (x * _GRID for x in UNIFORM_WEIGHTS)
         w = [[Fraction(0)] * n for _ in range(n)]
@@ -55,4 +55,4 @@ def random_instance(n: int, model: str, seed: int, alpha) -> Instance:
         host = metric_closure(n, edges)
     else:
         raise LabInputError(f"unknown model {model!r}; know {MODELS}")
-    return Instance(host=host, alpha=Fraction(alpha))
+    return Instance(host=host, alpha=alpha)

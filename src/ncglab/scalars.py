@@ -5,6 +5,13 @@ infinite value, used for distances in disconnected networks. Fractions and
 ``inf`` mix transparently in sums and comparisons, which gives exactly the
 absorption and domination behaviour the cost model needs.
 
+Every outside value (a library argument or a file field) passes one rule
+here, which raises ``LabInputError`` naming it: ``parse_rational`` takes a
+``Fraction``, an ``int`` or a ``"p/q"`` or decimal string, never a float
+(its binary value is not the number meant) or a bool; ``parse_alpha`` a
+positive rational; ``parse_int`` an ``int``, not a bool, at least ``least``;
+``parse_list`` a list or a tuple, never a string.
+
 Square roots never appear as inexact values: ``sqrt_exact`` returns the
 root of a rational only when it is itself rational, and the fixtures that
 need ``sqrt(alpha)`` refuse any other alpha with ``AlphaNotSquare``.
@@ -12,6 +19,8 @@ need ``sqrt(alpha)`` refuse any other alpha with ``AlphaNotSquare``.
 
 from fractions import Fraction
 from math import inf, isinf, isqrt
+
+from .errors import LabInputError
 
 INF = inf
 
@@ -33,18 +42,41 @@ def cost_ratio(num, den):
     return num / den
 
 
-def parse_rational(text) -> Fraction:
-    """Parse ``"p/q"`` or integer shorthand into a Fraction."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
+def parse_rational(x, what="value") -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if is_int(x):
+        return Fraction(x)
+    if isinstance(x, str):
         try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {text!r}") from exc
-    raise ValueError(f"not a rational: {text!r}")
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise LabInputError(f"{what} must be an exact rational ('p/q', decimal or int): {x!r}")
+
+
+def parse_alpha(x) -> Fraction:
+    alpha = parse_rational(x, "alpha")
+    if alpha <= 0:
+        raise LabInputError(f"alpha must be positive, got {alpha}")
+    return alpha
+
+
+def is_int(x) -> bool:
+    return type(x) is int  # not isinstance: a bool is an int
+
+
+def parse_int(x, what, least=None) -> int:
+    if not is_int(x) or (least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise LabInputError(f"{what} must be an int{bound}: {x!r}")
+    return x
+
+
+def parse_list(x, what):
+    if not isinstance(x, (list, tuple)):  # a string would be iterated per character
+        raise LabInputError(f"{what} must be a list: {x!r}")
+    return x
 
 
 def format_rational(x) -> str:

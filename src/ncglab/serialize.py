@@ -14,7 +14,7 @@ from .errors import LabInputError, MoveError
 from .fixtures import Fixture
 from .harness import SweepConfig
 from .model import Instance, Network, is_metric, validate_host
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_int, parse_list
 from .stability import CONCEPTS, Budget, Move, _check_shape
 
 INSTANCE_VERSION = 1
@@ -41,36 +41,17 @@ def _load(text, what, build):
         raise LabInputError(f"malformed {what} file: {exc}") from exc
 
 
-def _rational(obj, what):
-    try:
-        return parse_rational(obj)
-    except ValueError as exc:
-        raise LabInputError(f"bad rational in {what}: {obj!r}") from exc
-
-
-def _int(obj, what):
-    if type(obj) is not int:  # int() would truncate a float and accept a bool
-        raise LabInputError(f"{what} must be a JSON integer: {obj!r}")
-    return obj
-
-
 def _bool(obj, what):
     if type(obj) is not bool:  # bool() would read the string "false" as true
         raise LabInputError(f"{what} must be a JSON boolean: {obj!r}")
     return obj
 
 
-def _list(obj, what):
-    if not isinstance(obj, list):  # a string would be iterated per character
-        raise LabInputError(f"{what} must be a JSON list: {obj!r}")
-    return obj
-
-
 def _edge(pair):
     """One edge of a network or witness file: a list of two node ids."""
-    if len(_list(pair, "edge")) != 2:
+    if len(parse_list(pair, "edge")) != 2:
         raise LabInputError(f"edge must be a pair of node ids: {pair!r}")
-    return _int(pair[0], "node id"), _int(pair[1], "node id")
+    return parse_int(pair[0], "node id"), parse_int(pair[1], "node id")
 
 
 # -- instances ---------------------------------------------------------------
@@ -100,14 +81,10 @@ def instance_from_json(text: str) -> Instance:
 def _instance(data) -> Instance:
     if data.get("version") != INSTANCE_VERSION:
         raise LabInputError(f"unsupported instance version {data.get('version')!r}")
-    n = _int(data.get("n"), "instance n")
-    weights = _list(data.get("weights"), "instance weights")
-    if len(weights) != n:
+    host = validate_host(data.get("weights"))
+    if host.n != parse_int(data.get("n"), "instance n"):
         raise LabInputError("instance weights must be an n x n matrix")
-    rows = (_list(row, "instance weights row") for row in weights)
-    matrix = [[_rational(x, "weights") for x in row] for row in rows]
-    host = validate_host(matrix)
-    return Instance(host=host, alpha=_rational(data.get("alpha"), "alpha"))
+    return Instance(host=host, alpha=data.get("alpha"))
 
 
 # -- networks -----------------------------------------------------------------
@@ -125,7 +102,7 @@ def network_from_json(text: str, n: int) -> Network:
 
 
 def _network(data, n) -> Network:
-    edges = _list(data.get("edges"), "network 'edges'")
+    edges = parse_list(data.get("edges"), "network 'edges'")
     return Network.from_pairs(n, (_edge(e) for e in edges))
 
 
@@ -156,7 +133,7 @@ def _witness(data) -> Move:
     if concept not in CONCEPTS:
         raise MoveError(f"unknown witness concept {data.get('concept')!r}")
     move = Move.make(
-        coalition=tuple(_int(u, "node id") for u in data.get("coalition", ())),
+        coalition=tuple(parse_int(u, "node id") for u in data.get("coalition", ())),
         removals=tuple(_edge(e) for e in data.get("remove", ())),
         additions=tuple(_edge(e) for e in data.get("add", ())),
         concept=concept,
@@ -214,7 +191,7 @@ def _fixture(data) -> Fixture:
         stable_net=_network(data["stable_net"], n),
         reference_net=_network(data["reference_net"], n),
         claimed_concept=str(data["concept"]).lower(),
-        expected_ratio=_rational(data["expected_ratio"], "expected_ratio"),
+        expected_ratio=data["expected_ratio"],
     )
     for key, claimed in _family_claims(fixture).items():
         stated = data.get(key, claimed)
@@ -258,8 +235,8 @@ def _sweep_config(data) -> SweepConfig:
     return SweepConfig(
         family=data["family"],
         concept=str(data["concept"]).lower(),
-        n_values=tuple(_list(data["n_values"], "n_values")),
-        alphas=tuple(_rational(a, "alphas") for a in _list(data["alphas"], "alphas")),
+        n_values=data["n_values"],
+        alphas=data["alphas"],
         model=data.get("model", "uniform"),
         count=data.get("count", 1),
         seed=data.get("seed", 0),

@@ -72,9 +72,9 @@ from .errors import (
     RemovalNotPresent,
     RemovalOutsideCoalition,
 )
-from .model import Instance, Network
+from .model import Instance, Network, _require_same_nodes
 from .optimum import _all_pairs
-from .scalars import INF, is_inf
+from .scalars import INF, is_inf, parse_int
 
 PS = "ps"
 BNE = "bne"
@@ -90,12 +90,6 @@ def require_concept(concept):
     """Raise ``LabInputError`` unless the concept is one of ``CONCEPTS``."""
     if concept not in CONCEPTS:
         raise LabInputError(f"unknown concept {concept!r}; know {CONCEPTS}")
-
-
-def _require_same_nodes(inst, net):
-    """Raise ``LabInputError`` unless the network lives on the instance's nodes."""
-    if net.n != inst.n:
-        raise LabInputError("network and instance disagree on node count")
 
 
 def _pair(e):
@@ -149,8 +143,8 @@ class Budget:
     def __post_init__(self):
         for field in fields(self):
             cap = getattr(self, field.name)
-            if cap is not None and not (type(cap) is int and cap >= 0):  # no bool
-                raise LabInputError(f"budget {field.name} must be an int >= 0: {cap!r}")
+            if cap is not None:
+                parse_int(cap, f"budget {field.name}", least=0)
 
 
 _UNLIMITED = Budget()  # shared by unbudgeted searches, validated once

@@ -165,6 +165,10 @@ def test_removed_flags_exit_three(workdir, args):
 
 
 _FIXTURE = json.loads(S.fixture_to_json(L.gen_general_bse(4, F(2))))
+_WEIGHTS_BOOL = [  # w(1, 3) is 1, so the host is valid if true reads as 1
+    [True if {u, v} == {1, 3} else w for v, w in enumerate(row)]
+    for u, row in enumerate(_FIXTURE["instance"]["weights"])
+]
 _SWEEP = {"family": "zero_cluster", "concept": "bse", "n_values": [4], "alphas": ["2"]}
 
 
@@ -184,6 +188,11 @@ _SWEEP = {"family": "zero_cluster", "concept": "bse", "n_values": [4], "alphas":
             _FIXTURE["instance"] | {"n": 3, "weights": ["012", "103", "230"]},
             id="weights-row-text",
         ),
+        pytest.param("check", _FIXTURE["instance"] | {"alpha": True}, id="alpha-bool"),
+        pytest.param(
+            "check", _FIXTURE["instance"] | {"weights": _WEIGHTS_BOOL}, id="weight-bool"
+        ),
+        pytest.param("sweep", _SWEEP | {"alphas": [True]}, id="sweep-alpha-bool"),
         pytest.param("sweep", _SWEEP | {"n_values": ["x"]}, id="sweep-n-text"),
         pytest.param("sweep", _SWEEP | {"n_values": "34"}, id="sweep-n-string"),
         pytest.param("sweep", _SWEEP | {"n_values": [4.5]}, id="sweep-n-float"),

@@ -50,6 +50,29 @@ class TestValidateHost:
             host([[0]])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: L.Network.from_pairs(3, [(0.0, 1)]),
+        lambda: L.Network.from_pairs(3, [(True, 2)]),
+        lambda: L.Network.from_pairs(3, [(1, 1)]),
+        lambda: L.Network.from_pairs(3, [(0, 3)]),
+        lambda: L.validate_host([[0, 1], [1]]),
+        lambda: L.parse_rational("a/b"),
+        lambda: L.parse_rational("1/0"),
+    ],
+    ids=[
+        "node-id-float", "node-id-bool", "self-loop", "node-id-out-of-range",
+        "short-row", "rational-text", "rational-zero-denominator",
+    ],
+)
+def test_bad_values_are_input_errors(build):
+    # a float or bool node id would later index the engine's tables; the
+    # rest were bare ValueErrors, which the CLI does not report as input
+    with pytest.raises(L.LabInputError):
+        build()
+
+
 class TestIsMetric:
     def test_unit_weights_are_metric(self):
         h = unit_host(4)
