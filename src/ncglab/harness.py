@@ -26,7 +26,9 @@ from .randomgen import random_instance
 from .scalars import cost_ratio, format_rational, parse_alpha, parse_int, parse_list
 from .stability import BNE, BSE, CONCEPTS, PS, Budget, _run_checker, ps_prefilter, require_concept
 
-ENUM_LIMITS = {PS: 10, BNE: 8, BSE: 6}
+# Full ps and bne enumeration at n=7 takes about 20 s on a random tree
+# host; at n=8 the walk visits 128 times as many edge sets.
+ENUM_LIMITS = {PS: 7, BNE: 7, BSE: 6}
 # Beyond ENUM_LIMITS, the worst stable cost is sampled from this many
 # seeded random spanning trees (besides the MST and the complete network),
 # each run for at most this many ps dynamics steps.
@@ -187,6 +189,12 @@ def poa_point(
 ) -> PoaPoint:
     """Worst stable cost over proven (or heuristic) optimum cost.
 
+    The worst stable cost is enumerated up to ``ENUM_LIMITS`` nodes (7 for
+    ps and bne, 6 for bse). Beyond them it is the costliest of a few
+    sampled endpoints, each certified stable, and the point says
+    ``complete=False``: its ratio is then a lower bound on the host's
+    price of anarchy, not the price itself.
+
     The ratio is exact whenever both sides are; when the optimum is
     heuristic the reported ratio underestimates the true one.
     """
@@ -200,8 +208,11 @@ def _measure_poa(inst, concept, *, worst_only, budget, label, seed):
     """The one PoA path behind ``poa_point`` and ``poa_sweep``.
 
     The worst stable cost comes from enumeration up to the concept's limit
-    (worst-only, or full when the caller needs the stable set) and from
-    sampled dynamics beyond it; the optimum is ``social_optimum``'s. The
+    in ``ENUM_LIMITS`` (worst-only, or full when the caller needs the
+    stable set) and from sampled dynamics beyond it. A sampled worst is
+    the costliest certified stable endpoint found, so its ratio is a lower
+    bound on the host's price of anarchy, and the point is not complete.
+    The optimum is ``social_optimum``'s. The
     ratio is ``cost_ratio``'s: a zero optimum (zero-weight links spanning
     the host) gives 1 against a zero worst cost and ``inf`` otherwise.
     Returns the point, the ``OptResult`` and the stable networks (None

@@ -1,6 +1,8 @@
 """Core model: hosts, instances, networks, distances and the cost function.
 
-All values are immutable after construction and every operation is a pure
+Hosts, instances and networks check their own fields when made, so there
+is one way to make each and it is the checked one. All values are
+immutable after construction and every operation is a pure
 function of its inputs: nothing is cached on a host or a network, so equal
 values stay equal, with equal hashes, whatever has been computed from them.
 Everything here is safe to evaluate concurrently over disjoint inputs.
@@ -41,6 +43,30 @@ class HostGraph:
     n: int
     weights: tuple
 
+    def __post_init__(self):
+        """Read the weights into tuples of ``Fraction``s and refuse any
+        matrix that is not n-by-n, zero on the diagonal, symmetric and
+        non-negative."""
+        n = parse_int(self.n, "host n")
+        if n < 2:
+            raise HostTooSmall(n)
+        if len(parse_list(self.weights, "host weights")) != n:
+            raise LabInputError(f"host weights have {len(self.weights)} rows, expected {n}")
+        rows = []
+        for u, row in enumerate(self.weights):
+            if len(parse_list(row, "host weights row")) != n:
+                raise LabInputError(f"row {u} has length {len(row)}, expected {n}")
+            rows.append(tuple(parse_rational(w, "host weight") for w in row))
+        for u in range(n):
+            if rows[u][u] != 0:
+                raise NonzeroDiagonal(u)
+            for v in range(u + 1, n):
+                if rows[u][v] != rows[v][u]:
+                    raise AsymmetricWeight(u, v)
+                if rows[u][v] < 0:
+                    raise NegativeWeight(u, v)
+        object.__setattr__(self, "weights", tuple(rows))
+
     def weight(self, u: int, v: int) -> Fraction:
         return self.weights[u][v]
 
@@ -51,6 +77,8 @@ class Instance:
     alpha: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.host, HostGraph):
+            raise LabInputError(f"instance host must be a HostGraph: {self.host!r}")
         object.__setattr__(self, "alpha", parse_alpha(self.alpha))
 
     @property
@@ -63,21 +91,37 @@ class Network:
     """Subgraph of a complete host: a canonical sorted tuple of (u, v) pairs.
 
     Canonical form (u < v, lexicographically sorted, no duplicates) makes
-    equality, hashing and fingerprinting exact.
+    equality, hashing and fingerprinting exact. The constructor refuses
+    any other form; ``from_pairs`` makes it from pairs in any order.
     """
 
     n: int
     edges: tuple
+
+    def __post_init__(self):
+        n = parse_int(self.n, "network n", least=2)
+        if not isinstance(self.edges, tuple):  # a list would not hash
+            raise LabInputError(f"network edges must be a tuple of pairs: {self.edges!r}")
+        last = ()  # every pair sorts after the empty tuple
+        for edge in self.edges:
+            if not (isinstance(edge, tuple) and len(edge) == 2):
+                raise LabInputError(f"edge must be a pair of node ids: {edge!r}")
+            u, v = parse_int(edge[0], "node id"), parse_int(edge[1], "node id")
+            if u == v:
+                raise LabInputError(f"self-loop at node {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise LabInputError(f"edge ({u},{v}) outside node range 0..{n - 1}")
+            if u > v:
+                raise LabInputError(f"edge ({u},{v}) must list its smaller node first")
+            if edge <= last:
+                raise LabInputError(f"edges must strictly increase: {edge} after {last}")
+            last = edge
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Network":
         canon = set()
         for u, v in pairs:
             u, v = parse_int(u, "node id"), parse_int(v, "node id")
-            if u == v:
-                raise LabInputError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise LabInputError(f"edge ({u},{v}) outside node range 0..{n - 1}")
             canon.add((u, v) if u < v else (v, u))
         return cls(n=n, edges=tuple(sorted(canon)))
 
@@ -119,24 +163,8 @@ class MetricReport:
 
 
 def validate_host(weights) -> HostGraph:
-    """Build a HostGraph from a square matrix, verifying all invariants."""
-    n = len(parse_list(weights, "host weights"))
-    if n < 2:
-        raise HostTooSmall(n)
-    rows = []
-    for u, row in enumerate(weights):
-        if len(parse_list(row, "host weights row")) != n:
-            raise LabInputError(f"row {u} has length {len(row)}, expected {n}")
-        rows.append(tuple(parse_rational(w, "host weight") for w in row))
-    for u in range(n):
-        if rows[u][u] != 0:
-            raise NonzeroDiagonal(u)
-        for v in range(u + 1, n):
-            if rows[u][v] != rows[v][u]:
-                raise AsymmetricWeight(u, v)
-            if rows[u][v] < 0:
-                raise NegativeWeight(u, v)
-    return HostGraph(n=n, weights=tuple(rows))
+    """Build a HostGraph from a square matrix; the host checks the matrix."""
+    return HostGraph(n=len(parse_list(weights, "host weights")), weights=weights)
 
 
 def is_metric(host: HostGraph) -> MetricReport:
@@ -216,13 +244,10 @@ def metric_closure(n: int, weighted_edges) -> HostGraph:
     """Host whose weights are the shortest-path distances of a seed graph.
 
     The closure of any connected non-negative seed satisfies the triangle
-    inequality (distances between distinct nodes may be zero). The host
-    checks of ``validate_host`` hold: n >= 2, and every seed edge joins
-    two of the nodes 0..n-1.
+    inequality (distances between distinct nodes may be zero). Every seed
+    edge must join two of the nodes 0..n-1; the host checks the rest.
     """
-    if parse_int(n, "host n") < 2:
-        raise HostTooSmall(n)
-    adj = [[] for _ in range(n)]
+    adj = [[] for _ in range(parse_int(n, "host n"))]
     for u, v, w in parse_list(weighted_edges, "seed edges"):
         if not all(is_int(x) and 0 <= x < n for x in (u, v)):
             raise LabInputError(f"seed edge ({u!r}, {v!r}) leaves nodes 0..{n - 1}")

@@ -10,7 +10,8 @@ here, which raises ``LabInputError`` naming it: ``parse_rational`` takes a
 ``Fraction``, an ``int`` or a ``"p/q"`` or decimal string, never a float
 (its binary value is not the number meant) or a bool; ``parse_alpha`` a
 positive rational; ``parse_int`` an ``int``, not a bool, at least ``least``;
-``parse_list`` a list or a tuple, never a string.
+``parse_bool`` a bool, never a string; ``parse_list`` a list or a tuple,
+never a string.
 
 Square roots never appear as inexact values: ``sqrt_exact`` returns the
 root of a rational only when it is itself rational, and the fixtures that
@@ -70,6 +71,12 @@ def parse_int(x, what, least=None) -> int:
     if not is_int(x) or (least is not None and x < least):
         bound = "" if least is None else f" >= {least}"
         raise LabInputError(f"{what} must be an int{bound}: {x!r}")
+    return x
+
+
+def parse_bool(x, what) -> bool:
+    if type(x) is not bool:  # bool() would read the string "false" as true
+        raise LabInputError(f"{what} must be a JSON boolean: {x!r}")
     return x
 
 

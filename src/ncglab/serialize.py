@@ -13,8 +13,8 @@ from dataclasses import asdict, fields
 from .errors import LabInputError, MoveError
 from .fixtures import Fixture
 from .harness import SweepConfig
-from .model import Instance, Network, is_metric, validate_host
-from .scalars import format_rational, parse_int, parse_list
+from .model import HostGraph, Instance, Network, is_metric
+from .scalars import format_rational, parse_bool, parse_int, parse_list
 from .stability import CONCEPTS, Budget, Move, _check_shape
 
 INSTANCE_VERSION = 1
@@ -39,12 +39,6 @@ def _load(text, what, build):
         raise LabInputError(f"{what} file is missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise LabInputError(f"malformed {what} file: {exc}") from exc
-
-
-def _bool(obj, what):
-    if type(obj) is not bool:  # bool() would read the string "false" as true
-        raise LabInputError(f"{what} must be a JSON boolean: {obj!r}")
-    return obj
 
 
 def _edge(pair):
@@ -81,9 +75,7 @@ def instance_from_json(text: str) -> Instance:
 def _instance(data) -> Instance:
     if data.get("version") != INSTANCE_VERSION:
         raise LabInputError(f"unsupported instance version {data.get('version')!r}")
-    host = validate_host(data.get("weights"))
-    if host.n != parse_int(data.get("n"), "instance n"):
-        raise LabInputError("instance weights must be an n x n matrix")
+    host = HostGraph(n=data.get("n"), weights=data.get("weights"))
     return Instance(host=host, alpha=data.get("alpha"))
 
 
@@ -196,7 +188,7 @@ def _fixture(data) -> Fixture:
     for key, claimed in _family_claims(fixture).items():
         stated = data.get(key, claimed)
         if isinstance(claimed, bool):
-            _bool(stated, key)
+            parse_bool(stated, key)
         if stated != claimed:
             raise LabInputError(f"fixture {key} {stated!r} is not {fixture.family}'s {claimed!r}")
     return fixture

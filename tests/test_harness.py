@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations
@@ -129,8 +130,10 @@ class TestEnumerateStable:
             assert sets["bse"] <= sets["bne"] <= sets["ps"]
 
     def test_limits_enforced(self):
-        with pytest.raises(InstanceTooLarge):
-            L.enumerate_stable(unit_instance(7, 1), "bse")
+        # ps and bne at n=8 would walk 2^28 edge sets, about 45 minutes
+        for n, concept in [(7, "bse"), (8, "ps"), (8, "bne")]:
+            with pytest.raises(InstanceTooLarge):
+                L.enumerate_stable(unit_instance(n, 1), concept)
 
     def test_budget_inconclusive_drops_completeness(self):
         fx = L.gen_general_bse(4, F(2))
@@ -318,6 +321,12 @@ class TestPoaPoint:
         assert not point.opt_proven
         if point.stable_found:
             assert point.ratio is not None
+
+    def test_beyond_ps_limit_samples_within_seconds(self):
+        start = time.perf_counter()
+        point = L.poa_point(L.random_instance(8, "tree", 0, 2), "ps")
+        assert time.perf_counter() - start < 5
+        assert not point.complete
 
 
 SWEEP_COLUMNS = (

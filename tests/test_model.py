@@ -49,6 +49,14 @@ class TestValidateHost:
         with pytest.raises(HostTooSmall):
             host([[0]])
 
+    def test_constructor_is_the_check(self):
+        # a negative weight would price the complete network below zero
+        with pytest.raises(NegativeWeight) as err:
+            L.HostGraph(n=2, weights=((0, -1), (-1, 0)))
+        assert err.value.pair == (0, 1)
+        h = L.HostGraph(n=2, weights=[[0, "1/2"], ["1/2", 0]])
+        assert h.weights == ((F(0), F(1, 2)), (F(1, 2), F(0)))
+
 
 @pytest.mark.parametrize(
     "build",
@@ -60,15 +68,28 @@ class TestValidateHost:
         lambda: L.validate_host([[0, 1], [1]]),
         lambda: L.parse_rational("a/b"),
         lambda: L.parse_rational("1/0"),
+        lambda: L.Network(n=3, edges=((0, 5),)),
+        lambda: L.Network(n=3, edges=((1, 0), (0, 1))),
+        lambda: L.Network(n=3, edges=((0, 0),)),
+        lambda: L.Network(n=3, edges=((0, 1), (0, 1))),
+        lambda: L.Network(n=3, edges=((True, 2),)),
+        lambda: L.Network(n=3, edges=((0, 1.0),)),
+        lambda: L.Network(n=3, edges=[(0, 1)]),
+        lambda: L.HostGraph(n=3, weights=((0, 1), (1, 0))),
+        lambda: L.Instance(host=[[0, 1], [1, 0]], alpha=1),
     ],
     ids=[
         "node-id-float", "node-id-bool", "self-loop", "node-id-out-of-range",
         "short-row", "rational-text", "rational-zero-denominator",
+        "network-edge-out-of-range", "network-edge-reversed", "network-self-loop",
+        "network-edge-twice", "network-node-bool", "network-node-float",
+        "network-edge-list", "host-rows-short", "instance-host-matrix",
     ],
 )
 def test_bad_values_are_input_errors(build):
     # a float or bool node id would later index the engine's tables; the
-    # rest were bare ValueErrors, which the CLI does not report as input
+    # rest were bare ValueErrors, which the CLI does not report as input,
+    # or values a constructor took unchecked
     with pytest.raises(L.LabInputError):
         build()
 

@@ -63,6 +63,9 @@ def _dynamics(max_steps):
 # every entry point that takes an outside scalar, with a value it accepts
 SCALAR_ENTRIES = {
     "Instance-alpha": (lambda x: L.Instance(host=_two_nodes(), alpha=x), 1),
+    "HostGraph-n": (lambda x: L.HostGraph(n=x, weights=((0, 1), (1, 0))), 2),
+    "HostGraph-weight": (lambda x: L.HostGraph(n=2, weights=((0, x), (x, 0))), 1),
+    "Network-n": (lambda x: L.Network(n=x, edges=()), 2),
     "validate_host-weight": (lambda x: L.validate_host([[0, x], [x, 0]]), 1),
     "metric_closure-weight": (lambda x: L.metric_closure(2, [(0, 1, x)]), 1),
     "metric_closure-n": (lambda x: L.metric_closure(x, [(0, 1, 1)]), 2),
@@ -137,8 +140,9 @@ def test_alpha_spellings_agree(name):
 
 
 def test_int_rule_lives_in_scalars():
-    # one int test, so no module accepts a bool or a float where another refuses it
+    # one int test and one bool test, so no module accepts a bool or a
+    # float where another refuses it
     package = Path(L.__file__).parent
     for path in sorted(package.glob("*.py")):
         if path.name != "scalars.py":
-            assert not re.search(r"\bis (not )?int\b", path.read_text()), path.name
+            assert not re.search(r"\bis (not )?(int|bool)\b", path.read_text()), path.name
