@@ -32,6 +32,13 @@ from .errors import (
 from .scalars import INF, is_inf, is_int, parse_alpha, parse_int, parse_list, parse_rational
 
 
+def parse_edge(pair):
+    """One outside edge: a list or tuple of two int node ids, as a tuple."""
+    if len(parse_list(pair, "edge")) != 2:
+        raise LabInputError(f"edge must be a pair of node ids: {pair!r}")
+    return parse_int(pair[0], "node id"), parse_int(pair[1], "node id")
+
+
 @dataclass(frozen=True)
 class HostGraph:
     """Complete weighted graph on nodes 0..n-1, fixed by its weights.
@@ -120,8 +127,8 @@ class Network:
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Network":
         canon = set()
-        for u, v in pairs:
-            u, v = parse_int(u, "node id"), parse_int(v, "node id")
+        for pair in pairs:
+            u, v = parse_edge(pair)
             canon.add((u, v) if u < v else (v, u))
         return cls(n=n, edges=tuple(sorted(canon)))
 

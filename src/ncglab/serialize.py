@@ -13,7 +13,7 @@ from dataclasses import asdict, fields
 from .errors import LabInputError, MoveError
 from .fixtures import Fixture
 from .harness import SweepConfig
-from .model import HostGraph, Instance, Network, is_metric
+from .model import HostGraph, Instance, Network, is_metric, parse_edge
 from .scalars import format_rational, parse_bool, parse_int, parse_list
 from .stability import CONCEPTS, Budget, Move, _check_shape
 
@@ -39,13 +39,6 @@ def _load(text, what, build):
         raise LabInputError(f"{what} file is missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise LabInputError(f"malformed {what} file: {exc}") from exc
-
-
-def _edge(pair):
-    """One edge of a network or witness file: a list of two node ids."""
-    if len(parse_list(pair, "edge")) != 2:
-        raise LabInputError(f"edge must be a pair of node ids: {pair!r}")
-    return parse_int(pair[0], "node id"), parse_int(pair[1], "node id")
 
 
 # -- instances ---------------------------------------------------------------
@@ -95,7 +88,7 @@ def network_from_json(text: str, n: int) -> Network:
 
 def _network(data, n) -> Network:
     edges = parse_list(data.get("edges"), "network 'edges'")
-    return Network.from_pairs(n, (_edge(e) for e in edges))
+    return Network.from_pairs(n, edges)
 
 
 # -- witnesses ------------------------------------------------------------------
@@ -126,8 +119,8 @@ def _witness(data) -> Move:
         raise MoveError(f"unknown witness concept {data.get('concept')!r}")
     move = Move.make(
         coalition=tuple(parse_int(u, "node id") for u in data.get("coalition", ())),
-        removals=tuple(_edge(e) for e in data.get("remove", ())),
-        additions=tuple(_edge(e) for e in data.get("add", ())),
+        removals=tuple(parse_edge(e) for e in data.get("remove", ())),
+        additions=tuple(parse_edge(e) for e in data.get("add", ())),
         concept=concept,
     )
     _check_shape(move)

@@ -21,6 +21,16 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
     currently incident edges for a mover and are zero for a partner (see
     below); a member whose optimistic gain is still non-positive rules out
     every removal subset under this A;
+  * coalition bounds: every move of the movers gives a subgraph of G plus
+    all their addable edges, and a member pays at least 0 for additions,
+    so a mover whose per-set bound is non-positive there, with no
+    addition paid, rules out every addition set at once; each set it
+    skips would have failed its own bound, its affordability or the
+    change cap, none of which counts a move;
+  * unaffordable addition sets: a set some member cannot afford, or one
+    over the change cap, stays so in every superset, and all masks from
+    M up to M + lowbit(M) are supersets of M, so the search steps past
+    them in one go;
   * active coalitions: both searches are one joint search over movers,
     who may remove any incident edge, and partners, the other endpoints
     of their additions, who remove nothing and pay only for their own new
@@ -402,6 +412,26 @@ class _Search:
                 ]
                 yield from self._joint_moves(gamma, addable, BSE, f"coalition {gamma}")
 
+    def _coalition_hopeless(self, movers, addable):
+        """True if some mover has no positive gain bound in G + ``addable``.
+
+        Every move of the movers yields a subgraph of G + ``addable``, and
+        a member pays at least 0 for its additions, so this bound is at
+        least each addition set's bound for that mover.
+        """
+        plus_key = canonical_edges(self.eset.union(addable))
+        return any(
+            not self._bound_allows(self._gain_bound(m, plus_key, 0, self.rem_inc[m]))
+            for m in movers
+        )
+
+    @staticmethod
+    def _past_supersets(mask):
+        """The next addition mask after every superset of ``mask`` that
+        lies above it: all masks in [mask, mask + lowbit(mask)) contain it.
+        Only a non-empty mask is ever refused, so the step is positive."""
+        return mask + (mask & -mask)
+
     def _joint_moves(self, movers, addable, concept, who):
         """Improving moves of the movers, with partners, in canonical order.
 
@@ -411,6 +441,13 @@ class _Search:
         its own additions. Addition sets go by increasing mask over
         ``addable``, then removal sets by increasing mask over the movers'
         sorted incident edges; only moves touching every mover count.
+
+        Two prunes skip addition sets without changing which moves are
+        counted (see the module docstring): the coalition bound returns
+        before any mask when some mover cannot gain even in G + ``addable``
+        (only tried with two or more addable pairs: with one, that pair's
+        per-set bound already prices G + ``addable``), and a mask refused for
+        its affordability or the change cap skips its supersets above it.
         """
         eng = self.engine
         cap = self.budget.max_changes
@@ -419,17 +456,23 @@ class _Search:
         removable = sorted(e for e in self.gkey if e[0] in bit or e[1] in bit)
         if cap is not None and len(removable) + len(addable) > cap:
             self._note_skip(f"{who}: moves beyond {cap} changes")
+        if len(addable) >= 2 and self._coalition_hopeless(movers, addable):
+            return
         rem_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in removable]
         add_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in addable]
         eset = self.eset
-        for a_mask in range(1 << len(addable)):
+        a_mask, a_end = 0, 1 << len(addable)
+        while a_mask < a_end:
+            mask = a_mask
+            a_mask += 1
             adds = []
             a_cov = 0
             for i in range(len(addable)):
-                if a_mask >> i & 1:
+                if mask >> i & 1:
                     adds.append(addable[i])
                     a_cov |= add_cov[i]
             if cap is not None and len(adds) > cap:
+                a_mask = self._past_supersets(mask)
                 continue
             # members, movers first: what each pays for its additions
             added_inc = dict.fromkeys(movers, 0)
@@ -441,6 +484,7 @@ class _Search:
             if any(
                 inc and eng.p * inc >= self.spend_cap[m] for m, inc in added_inc.items()
             ):
+                a_mask = self._past_supersets(mask)
                 continue
             plus_set = eset | set(adds)
             plus_key = canonical_edges(plus_set)

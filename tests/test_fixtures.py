@@ -124,6 +124,18 @@ class TestVerifyFixture:
             report = L.verify_fixture(fx)
             assert report.ok, report.render()
 
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_zero_cluster_verifies_beyond_the_optimum_limit(self, n):
+        # the bse check alone: the optimum is proven only up to VERIFY_OPT_LIMIT
+        report = L.verify_fixture(L.gen_general_bse(n, F(2)))
+        assert report.ok, report.render()
+        assert report.stability == "stable"
+
+    def test_two_tier_star_bse_verifies_at_n8(self):
+        report = L.verify_fixture(L.gen_metric_star(8, F(7), "bse"))
+        assert report.ok, report.render()
+        assert report.stability == "stable"
+
     def test_corrupted_fixture_is_flagged(self):
         fx = L.gen_general_bse(4, F(2))
         broken = replace(

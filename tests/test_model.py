@@ -65,6 +65,8 @@ class TestValidateHost:
         lambda: L.Network.from_pairs(3, [(True, 2)]),
         lambda: L.Network.from_pairs(3, [(1, 1)]),
         lambda: L.Network.from_pairs(3, [(0, 3)]),
+        lambda: L.Network.from_pairs(3, [(0, 1, 2)]),
+        lambda: L.Network.from_pairs(3, [5]),
         lambda: L.validate_host([[0, 1], [1]]),
         lambda: L.parse_rational("a/b"),
         lambda: L.parse_rational("1/0"),
@@ -80,6 +82,7 @@ class TestValidateHost:
     ],
     ids=[
         "node-id-float", "node-id-bool", "self-loop", "node-id-out-of-range",
+        "pair-of-three", "pair-not-a-list",
         "short-row", "rational-text", "rational-zero-denominator",
         "network-edge-out-of-range", "network-edge-reversed", "network-self-loop",
         "network-edge-twice", "network-node-bool", "network-node-float",

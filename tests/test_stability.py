@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -16,7 +20,7 @@ from ncglab.errors import (
     RemovalNotPresent,
 )
 from ncglab.scalars import INF
-from ncglab.stability import _Search
+from ncglab.stability import _run_checker, _Search
 
 
 def host(rows):
@@ -332,20 +336,28 @@ def _seeded_networks(seed, count, max_n):
         yield inst, L.Network.from_pairs(n, [e for e in pairs if rng.random() < density])
 
 
-def _assert_same_verdicts_unpruned(monkeypatch, name, unpruned):
-    """Verdicts on seeded n<=5 networks (bse only for n<=4) keep their
-    status and witness with ``_Search.<name>`` replaced by ``unpruned``."""
-    cases = [
-        (inst, net, concept)
-        for inst, net in _seeded_networks(47, 100, 5)
-        for concept in L.CONCEPTS
-        if concept != "bse" or inst.n <= 4
-    ]
-    pruned = [L.check(inst, net, c) for inst, net, c in cases]
+def _assert_same_verdicts_unpruned(monkeypatch, name, unpruned, cases=None, same_work=False):
+    """Verdicts keep their status and witness, and with ``same_work`` also
+    their moves evaluated and frontier, with ``_Search.<name>`` replaced
+    by ``unpruned``. ``cases`` are (instance, network, concept, budget);
+    by default seeded n<=5 networks (bse only for n<=4), unbudgeted."""
+    if cases is None:
+        cases = [
+            (inst, net, concept, None)
+            for inst, net in _seeded_networks(47, 100, 5)
+            for concept in L.CONCEPTS
+            if concept != "bse" or inst.n <= 4
+        ]
+    pruned = [L.check(inst, net, c, budget) for inst, net, c, budget in cases]
     monkeypatch.setattr(_Search, name, unpruned)
-    for (inst, net, c), verdict in zip(cases, pruned):
-        other = L.check(inst, net, c)
+    for (inst, net, c, budget), verdict in zip(cases, pruned):
+        other = L.check(inst, net, c, budget)
         assert (other.status, other.witness) == (verdict.status, verdict.witness)
+        if same_work:
+            assert (other.moves_evaluated, other.frontier) == (
+                verdict.moves_evaluated,
+                verdict.frontier,
+            )
     assert any(v.unstable for v in pruned) and any(v.stable for v in pruned)
 
 
@@ -378,6 +390,124 @@ class TestPruneCrossCheck:
         _assert_same_verdicts_unpruned(
             monkeypatch, "_bound_allows", lambda self, bound: True
         )
+
+
+def _coalition_prune_cases():
+    """(instance, network, concept, budget): seeded n<=5 networks for every
+    concept, unbudgeted and under one cap each; the zero_cluster and
+    two_tier_star fixtures at n=5-6 under bse with their stable,
+    reference, empty and complete networks; and their stable networks
+    under bne and bse, and their empty networks under bse, with each cap."""
+    caps = (
+        L.Budget(max_changes=1),
+        L.Budget(max_changes=3),
+        L.Budget(max_moves=7),
+        L.Budget(max_coalition=2),
+    )
+    cases = []
+    for i, (inst, net) in enumerate(_seeded_networks(67, 60, 5)):
+        for concept in L.CONCEPTS:
+            cases.append((inst, net, concept, None))
+            cases.append((inst, net, concept, caps[i % len(caps)]))
+    fixtures = [L.gen_general_bse(n, F(2)) for n in (5, 6)]
+    fixtures += [L.gen_metric_star(n, F(alpha), "bse") for n in (5, 6) for alpha in (4, 7)]
+    # the ps and bne stars are not bse-stable, but most coalitions there
+    # walk many masks past unaffordable ones before the first witness
+    fixtures += [L.gen_metric_star(5, F(4), "ps"), L.gen_metric_star(5, F(4), "bne")]
+    fixtures += [L.gen_metric_star(6, F(4), "ps")]
+    for fx in fixtures:
+        n = fx.instance.n
+        nets = (fx.stable_net, fx.reference_net, L.Network.empty(n), L.Network.complete(n))
+        for net in nets:
+            cases.append((fx.instance, net, "bse", None))
+        for budget in caps + (L.Budget(max_changes=2), L.Budget(max_coalition=3)):
+            for concept in ("bne", "bse"):
+                cases.append((fx.instance, fx.stable_net, concept, budget))
+            cases.append((fx.instance, L.Network.empty(n), "bse", budget))
+    return cases
+
+
+class TestCoalitionPrunes:
+    """The coalition bound and the skip past unaffordable addition sets
+    discard only moves that the per-set tests would have discarded
+    uncounted: turned off, every verdict keeps its status, witness, moves
+    evaluated and frontier."""
+
+    def test_coalition_bound_off_gives_same_verdicts_and_work(self, monkeypatch):
+        cases = _coalition_prune_cases()
+        hopeless = _Search._coalition_hopeless
+        fired = []
+
+        def recording(self, movers, addable):
+            fired.append(hopeless(self, movers, addable))
+            return fired[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Search, "_coalition_hopeless", recording)
+            for inst, net, concept, budget in cases:
+                L.check(inst, net, concept, budget)
+        assert any(fired)  # the prune ran and ruled some coalition out
+        _assert_same_verdicts_unpruned(
+            monkeypatch,
+            "_coalition_hopeless",
+            lambda self, movers, addable: False,
+            cases,
+            same_work=True,
+        )
+
+    def test_mask_skip_off_gives_same_verdicts_and_work(self, monkeypatch):
+        cases = _coalition_prune_cases()
+        past = _Search._past_supersets
+        steps = []
+
+        def recording(mask):
+            steps.append(past(mask) - mask)
+            return mask + steps[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Search, "_past_supersets", staticmethod(recording))
+            for inst, net, concept, budget in cases:
+                L.check(inst, net, concept, budget)
+        assert max(steps) > 1  # the skip ran and stepped past some superset
+        _assert_same_verdicts_unpruned(
+            monkeypatch,
+            "_past_supersets",
+            staticmethod(lambda mask: mask + 1),
+            cases,
+            same_work=True,
+        )
+
+    def test_zero_cluster_8_work_is_pinned(self):
+        # the coalition bound rules out 168 coalitions before their masks;
+        # allowing a zero bound, sound but weaker, builds 32,895 states
+        fx = L.gen_general_bse(8, F(2))
+        engine = CostEngine(fx.instance)
+        verdict = _run_checker(fx.instance, fx.stable_net, "bse", None, engine)
+        assert (verdict.status, verdict.moves_evaluated) == ("stable", 192)
+        assert len(engine._states) == 185
+
+    def test_zero_cluster_9_finishes_in_bounded_memory(self):
+        # the unpruned search grew memory until MemoryError at this size
+        code = (
+            "from fractions import Fraction as F; import ncglab as L; "
+            "fx = L.gen_general_bse(9, F(2)); "
+            "print(L.is_bse(fx.instance, fx.stable_net).status)"
+        )
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.dirname(os.path.dirname(L.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=limit_memory,
+            env=env,
+        )
+        assert (done.returncode, done.stdout.strip()) == (0, "stable"), done.stderr
 
 
 def _pinned_case(name):
