@@ -14,9 +14,10 @@ tuple), each source's distance row and its sum, both computed the first
 time they are read, because coalition enumeration revisits the same
 candidate networks many times through different coalitions; per engine,
 the full host's distance rows and their sums, which every dead-agent and
-spend-cap bound reads. A state's rows may also be filled from another
-state's: ``fill_after_remove`` fills the rows of a network minus one edge
-from the network's own. Each cost method looks its state up once per
+spend-cap bound reads. ``forget`` drops a state its caller will not read
+again. A state's rows may also be filled from another state's:
+``fill_after_remove`` fills the rows of a network minus one edge from the
+network's own. Each cost method looks its state up once per
 call. No public entry point takes an engine: each builds its own, so the
 memo lives exactly as long as that one call.
 
@@ -78,6 +79,9 @@ class CostEngine:
             st = _NetState(self.n, adj)
             self._states[key] = st
         return st
+
+    def forget(self, key: tuple):
+        self._states.pop(key, None)
 
     def _dijkstra(self, adj, source):
         dist = [INF] * self.n

@@ -61,9 +61,9 @@ FAMILIES = {
 
 # verify_fixture proves the optimum only up to this n, one below
 # optimum.OPT_LIMIT: zero-weight links defeat brute_force_opt's spend
-# prune. At n=7 on a 2.1 GHz Xeon, zero_cluster (alpha 2, 5) and
-# cluster_path (alpha 16, 25) took 11-14 s each, while two_tier_star and
-# cluster_path at alpha 36 and 49 took at most 0.25 s.
+# prune. At n=7 on a 2.0 GHz Xeon, zero_cluster (alpha 2, 5) and
+# cluster_path (alpha 16, 25) took 4.3-5.3 s of CPU each, in 16 MB, while
+# two_tier_star and cluster_path at alpha 36 and 49 took at most 0.2 s.
 VERIFY_OPT_LIMIT = 6
 
 

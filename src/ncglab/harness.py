@@ -13,7 +13,7 @@ from .dynamics import EQUILIBRIUM, FIRST_FOUND, run_dynamics
 from .engine import CostEngine
 from .errors import BoundViolation, InstanceTooLarge, LabInputError
 from .fixtures import FAMILIES, generate
-from .model import Instance, Network, cost_report, is_metric
+from .model import Instance, Network, _stretch, cost_report, is_metric, shortest_distances
 from .optimum import (
     _minimum_spanning_tree,
     _random_spanning_tree,
@@ -22,9 +22,10 @@ from .optimum import (
     opt_spanner_check,
     social_optimum,
 )
-from .randomgen import random_instance
+from .randomgen import MODELS, random_instance
 from .scalars import cost_ratio, format_rational, parse_alpha, parse_int, parse_list
-from .stability import BNE, BSE, CONCEPTS, PS, Budget, _run_checker, ps_prefilter, require_concept
+from .stability import BNE, BSE, CONCEPTS, PS, Budget, _run_checker, ps_prefilter
+from .stability import require_budget, require_concept
 
 # Full ps and bne enumeration at n=7 takes about 20 s on a random tree
 # host; at n=8 the walk visits 128 times as many edge sets.
@@ -264,6 +265,11 @@ class SweepConfig:
         parse_int(self.seed, "sweep seed")
         if self.family != "random" and self.family not in FAMILIES:
             raise LabInputError(f"unknown family {self.family!r}")
+        if self.model not in MODELS:
+            raise LabInputError(f"unknown model {self.model!r}; know {MODELS}")
+        if self.family == "random" and self.variant is not None:
+            raise LabInputError("variant applies to fixture families only, not random")
+        require_budget(self.budget)
         require_concept(self.concept)
 
 
@@ -282,11 +288,12 @@ class SweepRow:
 
 
 def _check_network_bounds(inst, net, diagnostics):
-    """Proven per-network facts for stable networks; raises BoundViolation."""
-    _require_stretch(inst, net, "stable network", diagnostics)
-    report = cost_report(inst, net)
-    edge_total = sum(report.edge_costs) / 2  # both endpoints pay: 2 alpha w(E)
-    dist_total = sum(report.distance_costs)
+    """Proven per-network facts for stable networks, both read off one
+    distance run; raises BoundViolation."""
+    dist = shortest_distances(net, inst.host).dist
+    _require_stretch(inst, net, _stretch(dist, inst.host), "stable network", diagnostics)
+    edge_total = inst.alpha * sum(inst.host.weights[u][v] for u, v in net.edges)
+    dist_total = sum(map(sum, dist))
     if edge_total > (2 * inst.alpha / (inst.n - 1) + 1) * dist_total:
         raise BoundViolation(
             "stable network edge cost exceeds the distance-cost bound",

@@ -12,8 +12,8 @@ Conventions baked in here:
     nodes are allowed, so metric checks accept pseudometrics;
   * disconnection is a value (infinite distance / infinite social cost),
     never an exception, except where a tree is structurally required;
-  * shortest-path ties break toward the smallest-index predecessor so
-    derived trees and witnesses are deterministic.
+  * shortest-path ties break toward the smallest-index predecessor
+    settled earlier, so derived trees and witnesses are deterministic.
 """
 
 from dataclasses import dataclass
@@ -202,9 +202,13 @@ def is_metric(host: HostGraph) -> MetricReport:
 
 
 def _dijkstra(n: int, adj, source: int):
-    """Single-source shortest paths; adj[u] yields (v, weight). Exact."""
+    """Exact single-source shortest paths; adj[u] yields (v, weight).
+
+    Returns ``(dist, parent)``. A node's parent is the smallest-index
+    neighbour settled before it on a shortest path to it (None if none)."""
     dist = [INF] * n
     dist[source] = Fraction(0)
+    parent = [None] * n
     seen = [False] * n
     heap = [(Fraction(0), source)]
     while heap:
@@ -216,10 +220,12 @@ def _dijkstra(n: int, adj, source: int):
             if seen[v]:
                 continue
             nd = d + w
-            if is_inf(dist[v]) or nd < dist[v]:
-                dist[v] = nd
+            if nd < dist[v]:
+                dist[v], parent[v] = nd, u
                 heappush(heap, (nd, v))
-    return dist
+            elif nd == dist[v]:
+                parent[v] = min(parent[v], u)
+    return dist, parent
 
 
 def _weighted_adjacency(net: Network, host: HostGraph):
@@ -242,7 +248,7 @@ def shortest_distances(net: Network, host: HostGraph) -> DistanceMatrix:
     """Exact all-pairs shortest paths of the network; inf marks unreachable."""
     _require_same_nodes(host, net)
     adj = _weighted_adjacency(net, host)
-    rows = tuple(tuple(_dijkstra(net.n, adj, s)) for s in range(net.n))
+    rows = tuple(tuple(_dijkstra(net.n, adj, s)[0]) for s in range(net.n))
     connected = all(not is_inf(d) for row in rows for d in row)
     return DistanceMatrix(dist=rows, connected=connected)
 
@@ -265,7 +271,7 @@ def metric_closure(n: int, weighted_edges) -> HostGraph:
         adj[v].append((u, w))
     rows = []
     for s in range(n):
-        dist = _dijkstra(n, adj, s)
+        dist = _dijkstra(n, adj, s)[0]
         if any(is_inf(d) for d in dist):
             raise DisconnectedSeed(f"seed graph does not reach all nodes from {s}")
         rows.append(tuple(dist))
@@ -317,7 +323,11 @@ def spanner_stretch(net: Network, host: HostGraph):
     link. A zero-weight link needs network distance zero, else the
     stretch is infinite, as it is for a disconnected network.
     """
-    d_net = shortest_distances(net, host).dist
+    return _stretch(shortest_distances(net, host).dist, host)
+
+
+def _stretch(d_net, host: HostGraph):
+    """``spanner_stretch`` read off the network's distance matrix."""
     worst = Fraction(0)
     for u in range(host.n):
         for v in range(u + 1, host.n):
@@ -330,28 +340,14 @@ def spanner_stretch(net: Network, host: HostGraph):
 
 
 def shortest_path_tree(net: Network, host: HostGraph, z: int) -> Network:
-    """Tree T within the network preserving all distances from z.
-
-    Parent of u is the smallest-index neighbor v with
-    d(z,v) + w(v,u) = d(z,u), so the tree is deterministic.
+    """Tree T within the network preserving all distances from z: every
+    node joined to its parent in the one ``_dijkstra`` run from z, which
+    settles the parent first, so T is a tree across zero-weight links too.
     """
     _require_same_nodes(host, net)
-    if not 0 <= z < net.n:
+    if not 0 <= parse_int(z, "root") < net.n:
         raise LabInputError(f"root {z} outside nodes 0..{net.n - 1}")
-    adj = _weighted_adjacency(net, host)
-    dist = _dijkstra(net.n, adj, z)
+    dist, parent = _dijkstra(net.n, _weighted_adjacency(net, host), z)
     if any(is_inf(d) for d in dist):
         raise DisconnectedNetwork(f"no spanning tree from {z}: network disconnected")
-    edges = []
-    for u in range(net.n):
-        if u == z:
-            continue
-        parent = None
-        for v, w in sorted(adj[u]):
-            if dist[v] + w == dist[u]:
-                parent = v
-                break  # neighbors sorted ascending, first hit is smallest
-        if parent is None:
-            raise DisconnectedNetwork(f"no shortest-path predecessor for {u}")
-        edges.append((u, parent))
-    return Network.from_pairs(net.n, edges)
+    return Network.from_pairs(net.n, ((u, parent[u]) for u in range(net.n) if u != z))

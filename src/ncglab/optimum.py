@@ -7,7 +7,7 @@ import random
 from .engine import CostEngine, canonical_edges
 from .errors import BoundViolation, InstanceTooLarge, NotProvenOptimal
 from .model import Instance, Network, spanner_stretch
-from .scalars import is_inf
+from .scalars import is_inf, parse_int
 
 OPT_LIMIT = 7  # largest n whose optimum is proven by enumeration
 HEURISTIC_RESTARTS = 3  # seeded random spanning trees tried by heuristic_opt
@@ -65,6 +65,7 @@ def connected_subgraphs(n, step=None, root=None):
 def social_optimum(inst: Instance, seed: int = 0):
     """The optimum the lab reports: proven by ``brute_force_opt`` up to
     ``OPT_LIMIT`` nodes, a ``heuristic_opt`` upper bound beyond."""
+    parse_int(seed, "seed")
     if inst.n <= OPT_LIMIT:
         return brute_force_opt(inst)
     return heuristic_opt(inst, seed=seed)
@@ -95,16 +96,22 @@ def brute_force_opt(inst: Instance):
     engine = CostEngine(inst)
     weights = [engine.W[u][v] for u, v in _all_pairs(n)]
     dist_floor = engine.q * sum(engine.host_dist_sum(u) for u in range(n))
-    best_key = _minimum_spanning_tree(inst)
-    best_cost = engine.social_cost(best_key)
     two_p = 2 * engine.p
+
+    def price(key):  # the walk yields each key once, so no state is kept
+        cost = engine.social_cost(key)
+        engine.forget(key)
+        return cost
+
+    best_key = _minimum_spanning_tree(inst)
+    best_cost = price(best_key)
 
     def spend_step(spend, j):
         spend += weights[j]
         return spend if two_p * spend + dist_floor <= best_cost else None
 
     for key, _ in connected_subgraphs(n, spend_step, 0):
-        cost = engine.social_cost(key)
+        cost = price(key)
         if cost < best_cost or (cost == best_cost and key < best_key):
             best_cost = cost
             best_key = key
@@ -223,7 +230,7 @@ def heuristic_opt(inst: Instance, seed: int = 0):
     computed against it underestimate the instance's true ratio.
     """
     engine = CostEngine(inst)
-    rng = random.Random(seed)
+    rng = random.Random(parse_int(seed, "seed"))
     starts = [_minimum_spanning_tree(inst), _best_star(inst, engine)]
     starts += [_random_spanning_tree(inst.n, rng) for _ in range(HEURISTIC_RESTARTS)]
     best_cost, best_key = None, None
@@ -238,21 +245,21 @@ def heuristic_opt(inst: Instance, seed: int = 0):
     )
 
 
-def _require_stretch(inst: Instance, net: Network, what: str, diagnostics: dict):
-    """Stretch of ``net`` over the host; raises BoundViolation above alpha + 1,
-    the bound on every stable network and on a proven optimum."""
-    stretch = spanner_stretch(net, inst.host)
+def _require_stretch(inst: Instance, net: Network, stretch, what: str, diagnostics: dict):
+    """Raise BoundViolation if ``net``'s stretch over the host is above
+    alpha + 1, the bound on every stable network and on a proven optimum."""
     bound = inst.alpha + 1
     if is_inf(stretch) or stretch > bound:
         raise BoundViolation(
             f"{what} stretch {stretch} exceeds {bound}",
             diagnostics | {"edges": list(net.edges), "stretch": str(stretch)},
         )
-    return stretch
 
 
 def opt_spanner_check(inst: Instance, opt: OptResult):
     """Stretch of a proven optimum; raises BoundViolation above alpha + 1."""
     if not opt.proven:
         raise NotProvenOptimal("spanner guarantee only holds for proven optima")
-    return _require_stretch(inst, opt.network, "optimum", {"alpha": str(inst.alpha)})
+    stretch = spanner_stretch(opt.network, inst.host)
+    _require_stretch(inst, opt.network, stretch, "optimum", {"alpha": str(inst.alpha)})
+    return stretch

@@ -160,6 +160,12 @@ class Budget:
 _UNLIMITED = Budget()  # shared by unbudgeted searches, validated once
 
 
+def require_budget(budget):
+    """Raise ``LabInputError`` unless the budget is None or a ``Budget``."""
+    if budget is not None and not isinstance(budget, Budget):
+        raise LabInputError(f"budget must be a Budget or None: {budget!r}")
+
+
 @dataclass(frozen=True)
 class Verdict:
     status: str
@@ -270,6 +276,7 @@ class _Search:
 
     def __init__(self, inst, net, budget, engine):
         _require_same_nodes(inst, net)
+        require_budget(budget)
         self.engine = engine
         self.budget = budget or _UNLIMITED
         self.gkey = net.edges
@@ -280,8 +287,7 @@ class _Search:
         self.base_dist = [None] * n
         self.spend_cap = [None] * n
         self.evaluated = 0
-        self.budget_skipped = False
-        self.frontier = None
+        self.frontier = None  # set by the first budget cut
 
     def _prepare(self, u):
         """Fill agent u's incident weight, base cost, distance sum and spend cap."""
@@ -309,7 +315,6 @@ class _Search:
         return price < self.spend_cap[u] and price < self.spend_cap[v]
 
     def _note_skip(self, what):
-        self.budget_skipped = True
         if self.frontier is None:
             self.frontier = what
 
@@ -620,7 +625,7 @@ def _run_checker(inst, net, concept, budget, engine, largest_gain=False):
             witness=found[0],
             moves_evaluated=search.evaluated,
         )
-    if search.budget_skipped:
+    if search.frontier is not None:
         return Verdict(
             status=INCONCLUSIVE,
             moves_evaluated=search.evaluated,
@@ -656,7 +661,7 @@ def best_single_removal(inst: Instance, net: Network, u: int):
     single removal disconnects u. Ties break toward the smallest edge.
     """
     _require_same_nodes(inst, net)
-    if not 0 <= u < net.n:
+    if not 0 <= parse_int(u, "agent") < net.n:
         raise LabInputError(f"agent {u} outside nodes 0..{net.n - 1}")
     engine = CostEngine(inst)
     removals = (

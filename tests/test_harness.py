@@ -511,6 +511,37 @@ class TestPoaSweep:
         with pytest.raises(LabInputError, match=f"sweep {name} must be an int"):
             L.SweepConfig(**fields | {field: value})
 
+    @pytest.mark.parametrize(
+        "family, field, value, message",
+        [
+            ("random", "budget", {"max_moves": 1}, "budget must be a Budget"),
+            ("zero_cluster", "budget", 5, "budget must be a Budget"),
+            ("random", "model", "nope", "unknown model 'nope'"),
+            ("zero_cluster", "model", "nope", "unknown model 'nope'"),
+            ("random", "variant", "bse", "variant applies to fixture families only"),
+        ],
+        ids=["random-budget", "fixture-budget", "random-model", "fixture-model", "variant"],
+    )
+    def test_config_refuses_fields_it_cannot_use(self, family, field, value, message):
+        # refused when made: a random sweep has no variant and reads its
+        # model only once it runs, and a fixture sweep prints the model
+        fields = {"family": family, "concept": "bse", "n_values": (4,), "alphas": (F(1),)}
+        with pytest.raises(LabInputError, match=message):
+            L.SweepConfig(**fields | {field: value})
+
+    def test_network_bounds_read_one_distance_run(self, monkeypatch):
+        # the stretch and the edge-cost bound share one all-pairs run
+        runs = []
+        dijkstra = L.model._dijkstra
+
+        def counted(n, adj, source):
+            runs.append(source)
+            return dijkstra(n, adj, source)
+
+        monkeypatch.setattr(L.model, "_dijkstra", counted)
+        H._check_network_bounds(unit_instance(5, 2), L.Network.complete(5), {})
+        assert runs == list(range(5))
+
 
 class TestRandomInstances:
     def test_determinism(self):

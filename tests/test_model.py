@@ -307,6 +307,15 @@ class TestShortestPathTree:
         with pytest.raises(DisconnectedNetwork):
             L.shortest_path_tree(L.Network.empty(3), unit_host(3), 0)
 
+    def test_zero_weight_link_stays_a_tree(self):
+        # 1 and 2 are both at distance 1 from the root 3 and 0 apart, so
+        # each is a shortest-path neighbour of the other; only the one
+        # settled first may be the other's parent, else neither reaches 3
+        h = host([[0, 5, 5, 1], [5, 0, 0, 1], [5, 0, 0, 1], [1, 1, 1, 0]])
+        net = L.Network.from_pairs(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
+        tree = L.shortest_path_tree(net, h, 3)
+        assert tree.edges == ((0, 3), (1, 2), (1, 3))
+
     def test_distance_bound_on_random_networks(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -329,6 +338,28 @@ class TestShortestPathTree:
                 assert all(dt.dist[z][u] == dm.dist[z][u] for u in range(n))
                 total_t = sum(dt.row_sum(u) for u in range(n))
                 assert total_g <= total_t <= 2 * (n - 1) * dm.row_sum(z)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(derandomize=True, max_examples=60)
+def test_shortest_path_tree_across_zero_weight_links(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    w = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            w[u][v] = w[v][u] = rng.choice([0, 0, 1, 2, 3])
+    h = host(w)
+    spanning = [(i, rng.randrange(i)) for i in range(1, n)]
+    extra = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    net = L.Network.from_pairs(n, spanning + extra)
+    z = rng.randrange(n)
+    tree = L.shortest_path_tree(net, h, z)
+    assert len(tree.edges) == n - 1
+    assert set(tree.edges) <= set(net.edges)
+    dt = L.shortest_distances(tree, h)
+    assert dt.connected
+    assert dt.dist[z] == L.shortest_distances(net, h).dist[z]
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -55,9 +55,12 @@ def _sweep(**fields):
     return L.SweepConfig(**base | fields)
 
 
+def _two_agents():
+    return L.Instance(host=_two_nodes(), alpha=1)
+
+
 def _dynamics(max_steps):
-    inst = L.Instance(host=_two_nodes(), alpha=1)
-    return L.run_dynamics(inst, L.Network.empty(2), "ps", max_steps=max_steps)
+    return L.run_dynamics(_two_agents(), L.Network.empty(2), "ps", max_steps=max_steps)
 
 
 # every entry point that takes an outside scalar, with a value it accepts
@@ -88,6 +91,16 @@ SCALAR_ENTRIES = {
     "SweepConfig-seed": (lambda x: _sweep(seed=x), 1),
     "Budget": (lambda x: L.Budget(max_moves=x), 1),
     "run_dynamics-max_steps": (_dynamics, 1),
+    "best_single_removal-agent": (
+        lambda x: L.best_single_removal(_two_agents(), L.Network.complete(2), x),
+        0,
+    ),
+    "shortest_path_tree-root": (
+        lambda x: L.shortest_path_tree(L.Network.complete(2), _two_nodes(), x),
+        0,
+    ),
+    "heuristic_opt-seed": (lambda x: L.heuristic_opt(_two_agents(), seed=x), 1),
+    "social_optimum-seed": (lambda x: L.social_optimum(_two_agents(), seed=x), 1),
 }
 
 # every entry point that takes an outside sequence, with a string in its place

@@ -636,7 +636,7 @@ class TestSearchGains:
             if moves:
                 expected = moves[prices.index(max(prices))]
             else:
-                expected = "inconclusive" if search.budget_skipped else None
+                expected = "inconclusive" if search.frontier is not None else None
             try:
                 got = L.find_improving_move(inst, net, concept, "best-response", budget)
             except InconclusiveSearch:
@@ -647,6 +647,20 @@ class TestSearchGains:
 
 
 class TestBudgets:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda fx: L.check(fx.instance, fx.stable_net, "bse", budget={"max_moves": 1}),
+            lambda fx: L.enumerate_stable(fx.instance, "ps", budget=5),
+            lambda fx: L.verify_fixture(fx, budget=3),
+        ],
+        ids=["check", "enumerate_stable", "verify_fixture"],
+    )
+    def test_a_budget_that_is_not_a_budget_is_an_input_error(self, entry):
+        # refused where the budget enters the search, not mid-search
+        with pytest.raises(L.LabInputError, match="budget must be a Budget"):
+            entry(L.gen_general_bse(4, F(2)))
+
     def test_tiny_move_budget_is_inconclusive_not_stable(self):
         fx = L.gen_general_bse(5, F(2))
         verdict = L.is_bse(fx.instance, fx.stable_net, budget=L.Budget(max_moves=3))
