@@ -134,7 +134,7 @@ def gen_general_bse(n: int, alpha: Fraction) -> Fixture:
     w(0, n-1) = alpha + 1 and w(i, n-1) = 1 for the other cluster nodes.
     """
     parse_int(n, "zero_cluster n", least=3)
-    alpha = parse_rational(alpha, "alpha")
+    alpha = parse_alpha(alpha)
     remote = n - 1
     w = [[Fraction(0)] * n for _ in range(n)]
     w[0][remote] = w[remote][0] = alpha + 1
@@ -197,7 +197,7 @@ def gen_metric_path(n: int, alpha: Fraction) -> Fixture:
     and at most n^2 (keeping the path inside the node budget).
     """
     parse_int(n, "cluster_path n")
-    alpha = parse_rational(alpha, "alpha")
+    alpha = parse_alpha(alpha)
     root = sqrt_exact(alpha)
     if root is None or root.denominator != 1:
         raise AlphaNotSquare(f"cluster_path needs an integer square alpha, got {alpha}")

@@ -302,31 +302,36 @@ def _check_network_bounds(inst, net, diagnostics):
 
 
 def _sweep_instances(cfg):
-    """Deterministic (label, instance, expected_ratio) stream for the grid."""
-    idx = 0
+    """Every grid cell as (label, instance, expected_ratio), in grid order:
+    n, then alpha, then the random family's ``count`` seeds, numbered on
+    from ``cfg.seed``. Each generator refuses an n or alpha its family
+    cannot take, so the list is complete only if every cell can run."""
+    cells = []
     for n in cfg.n_values:
         for alpha in cfg.alphas:
             if cfg.family == "random":
                 for _ in range(cfg.count):
-                    seed = cfg.seed + idx
-                    inst = random_instance(n, cfg.model, seed, alpha)
-                    yield f"{cfg.model}(seed={seed},n={n},alpha={alpha})", inst, None
-                    idx += 1
+                    seed = cfg.seed + len(cells)
+                    label = f"{cfg.model}(seed={seed},n={n},alpha={alpha})"
+                    cells.append((label, random_instance(n, cfg.model, seed, alpha), None))
             else:
                 fixture = generate(cfg.family, n, alpha, cfg.variant)
                 label = f"{cfg.family}(n={n},alpha={alpha})"
                 expected = (
                     None if fixture.ratio_is_asymptotic_only else fixture.expected_ratio
                 )
-                yield label, fixture.instance, expected
+                cells.append((label, fixture.instance, expected))
+    return cells
 
 
 def poa_sweep(cfg: SweepConfig) -> "SweepReport":
     """Measure every grid cell and check the universal bounds on each row.
 
-    Violations of proven bounds raise BoundViolation with a diagnostic
-    payload; the advisory strong-equilibrium distance-ratio constant is
-    recorded but never enforced (it is asymptotic).
+    The whole grid is built first (``_sweep_instances``), so a cell that
+    its generator refuses raises ``LabInputError`` before any cell is
+    measured. Violations of proven bounds raise BoundViolation with a
+    diagnostic payload; the advisory strong-equilibrium distance-ratio
+    constant is recorded but never enforced (it is asymptotic).
     """
     rows = []
     for label, inst, expected in _sweep_instances(cfg):

@@ -311,8 +311,11 @@ def star_social_cost(n: int, alpha: Fraction, total_weight: Fraction) -> Fractio
     """
     if parse_int(n, "star n") < 2:
         raise HostTooSmall(n)
-    factor = 2 * n - 2 + 2 * parse_rational(alpha, "alpha")
-    return factor * parse_rational(total_weight, "star total_weight")
+    alpha = parse_alpha(alpha)
+    total_weight = parse_rational(total_weight, "star total_weight")
+    if total_weight < 0:
+        raise LabInputError(f"star total_weight must be non-negative, got {total_weight}")
+    return (2 * n - 2 + 2 * alpha) * total_weight
 
 
 def spanner_stretch(net: Network, host: HostGraph):

@@ -24,7 +24,7 @@ def _all_pairs(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def connected_subgraphs(n, step=None, root=None):
+def connected_subgraphs(n, step, root):
     """``(key, state)`` for every connected spanning subgraph of K_n, in
     sorted order of the edge tuples ``key``.
 
@@ -33,13 +33,12 @@ def connected_subgraphs(n, step=None, root=None):
     come out in the order of their sorted edge tuples, each exactly once.
     Components are tracked as one node bitmask per vertex along the path.
 
-    Each node carries a state, ``root`` at the empty set. With ``step``, a
-    node's state is ``step(parent_state, j)``, called as the node is
-    reached, where ``j`` indexes the added pair in ``_all_pairs(n)``. A
-    node whose step returns None is skipped with its whole subtree, so a
-    step may return None only where no superset down the branch is
-    wanted. The step may read values that change while the walk runs.
-    Without ``step`` every state is ``root``.
+    Each node carries a state, ``root`` at the empty set. A node's state is
+    ``step(parent_state, j)``, called as the node is reached, where ``j``
+    indexes the added pair in ``_all_pairs(n)``. A node whose step returns
+    None is skipped with its whole subtree, so a step may return None only
+    where no superset down the branch is wanted. The step may read values
+    that change while the walk runs.
     """
     pairs = _all_pairs(n)
     m = len(pairs)
@@ -48,10 +47,9 @@ def connected_subgraphs(n, step=None, root=None):
     stack = [((), [1 << v for v in range(n)], root, j) for j in range(m - 1, -1, -1)]
     while stack:
         key, comp, state, j = stack.pop()
-        if step is not None:
-            state = step(state, j)
-            if state is None:
-                continue
+        state = step(state, j)
+        if state is None:
+            continue
         u, v = pairs[j]
         key += (pairs[j],)
         if not comp[u] >> v & 1:

@@ -213,34 +213,22 @@ def sweep_config_from_json(text: str) -> SweepConfig:
 
 
 def _sweep_config(data) -> SweepConfig:
+    """``SweepConfig``'s own fields. A file may spell a concept or variant in
+    any case, a budget as an object, and no variant or budget as empty."""
     unknown = sorted(set(data) - {f.name for f in fields(SweepConfig)})
     if unknown:
         raise LabInputError(f"unknown sweep config field(s) {unknown}")
-    budget = Budget(**data["budget"]) if data.get("budget") else None
-    return SweepConfig(
-        family=data["family"],
-        concept=str(data["concept"]).lower(),
-        n_values=data["n_values"],
-        alphas=data["alphas"],
-        model=data.get("model", "uniform"),
-        count=data.get("count", 1),
-        seed=data.get("seed", 0),
-        variant=(data.get("variant") or None) and str(data.get("variant")).lower(),
-        budget=budget,
-    )
+    variant, budget = data.get("variant"), data.get("budget")
+    spelled = {
+        "concept": str(data["concept"]).lower(),
+        "variant": str(variant).lower() if variant else None,
+        "budget": Budget(**budget) if budget else None,
+    }
+    return SweepConfig(**data | spelled)
 
 
 def sweep_config_to_json(cfg: SweepConfig) -> str:
-    payload = {
-        "family": cfg.family,
-        "concept": cfg.concept,
-        "n_values": list(cfg.n_values),
-        "alphas": [format_rational(a) for a in cfg.alphas],
-        "model": cfg.model,
-        "count": cfg.count,
-        "seed": cfg.seed,
-        "variant": cfg.variant,
-    }
-    if cfg.budget:
-        payload["budget"] = asdict(cfg.budget)
+    payload = asdict(cfg) | {"alphas": [format_rational(a) for a in cfg.alphas]}
+    if cfg.budget is None:
+        del payload["budget"]
     return _dump(payload)

@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 import ncglab as L
-from ncglab import properties
+from ncglab import harness, properties
 from ncglab import serialize as S
 from ncglab.cli import build_parser, main
+from ncglab.errors import BoundViolation
 
 
 @pytest.fixture
@@ -323,6 +324,13 @@ class TestGenAndVerify:
     def test_gen_rejects_non_positive_or_unparsable_alpha(self, family, alpha):
         assert main(["gen", family, "--n", "4", "--alpha", alpha]) == 3
 
+    @pytest.mark.parametrize(
+        "family, alpha", [("zero_cluster", "-5"), ("cluster_path", "-16"), ("two_tier_star", "0")]
+    )
+    def test_gen_names_the_alpha_rule(self, capsys, family, alpha):
+        assert main(["gen", family, "--n", "8", "--alpha", alpha]) == 3
+        assert f"alpha must be positive, got {alpha}" in capsys.readouterr().err
+
     def test_verify_inconclusive_stability_exits_two(self, tmp_path, capsys):
         bundle = tmp_path / "b.json"
         gen = ["gen", "zero_cluster", "--n", "4", "--alpha", "2", "--out", str(bundle)]
@@ -430,6 +438,19 @@ class TestSweep:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["sweep", str(cfg_path)]) == 3
         assert "zero_cluster claims no 'ps' variant" in capsys.readouterr().err
+
+    def test_bound_violation_exits_four_with_diagnostics(self, tmp_path, capsys, monkeypatch):
+        def violated(cfg):
+            raise BoundViolation("cell: ratio 7 exceeds 6", {"label": "cell", "n": 4})
+
+        monkeypatch.setattr(harness, "poa_sweep", violated)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"family": "random", "concept": "ps", "n_values": [4], "alphas": ["2"]}'
+        )
+        assert main(["sweep", str(cfg_path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["BOUND VIOLATION: cell: ratio 7 exceeds 6", '{"label": "cell", "n": 4}']
 
     def test_malformed_config_exits_three(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

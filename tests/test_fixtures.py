@@ -75,6 +75,10 @@ class TestTwoTierStar:
         with pytest.raises(AlphaNotSquare):
             L.gen_metric_star(5, F(5), "bne")
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(LabInputError, match="unknown two_tier_star variant 'nope'"):
+            L.gen_metric_star(4, F(2), "nope")
+
     def test_hosts_are_metric(self):
         for variant, alpha in [("ps", F(3)), ("bne", F(9)), ("bse", F(7))]:
             fx = L.gen_metric_star(5, alpha, variant)

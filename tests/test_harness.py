@@ -519,8 +519,12 @@ class TestPoaSweep:
             ("random", "model", "nope", "unknown model 'nope'"),
             ("zero_cluster", "model", "nope", "unknown model 'nope'"),
             ("random", "variant", "bse", "variant applies to fixture families only"),
+            ("random", "family", "nope", "unknown family 'nope'"),
         ],
-        ids=["random-budget", "fixture-budget", "random-model", "fixture-model", "variant"],
+        ids=[
+            "random-budget", "fixture-budget", "random-model", "fixture-model", "variant",
+            "family",
+        ],
     )
     def test_config_refuses_fields_it_cannot_use(self, family, field, value, message):
         # refused when made: a random sweep has no variant and reads its
@@ -528,6 +532,59 @@ class TestPoaSweep:
         fields = {"family": family, "concept": "bse", "n_values": (4,), "alphas": (F(1),)}
         with pytest.raises(LabInputError, match=message):
             L.SweepConfig(**fields | {field: value})
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                dict(family="two_tier_star", variant="bse", n_values=(6, 3), alphas=(7,)),
+                "two_tier_star n must be an int >= 4: 3",
+            ),
+            (
+                dict(family="cluster_path", n_values=(6, 4), alphas=(16, 25)),
+                r"cluster_path needs alpha <= n\^2, got alpha=25 n=4",
+            ),
+            (
+                dict(family="random", model="tree", n_values=(6, 1), alphas=(2,), count=2),
+                "random instance n must be an int >= 2: 1",
+            ),
+        ],
+        ids=["two_tier_star-n", "cluster_path-alpha", "random-n"],
+    )
+    def test_grid_is_built_before_any_cell_is_measured(self, monkeypatch, config, message):
+        # each grid's last cell is one its generator refuses
+        measured = []
+        measure = H._measure_poa
+
+        def counted(inst, *args, **kwargs):
+            measured.append(inst.n)
+            return measure(inst, *args, **kwargs)
+
+        monkeypatch.setattr(H, "_measure_poa", counted)
+        with pytest.raises(LabInputError, match=message):
+            L.poa_sweep(L.SweepConfig(concept="bse", **config))
+        assert measured == []
+
+    def test_metric_ratio_above_its_cap_raises(self, monkeypatch):
+        # A stubbed proven optimum a quarter of the worst stable cost: the
+        # ratio 4 is within 2(alpha+1) = 6 but above the metric cap
+        # min(alpha+1, 2(n-1)) = 3 of a tree host.
+        inst = L.random_instance(4, "tree", 0, F(2))
+        worst = L.enumerate_stable(inst, "ps", worst_only=True).worst_cost
+        opt = OptResult(network=L.Network.complete(4), cost=worst / 4, proven=True)
+        monkeypatch.setattr(H, "social_optimum", lambda *a, **k: opt)
+        cfg = L.SweepConfig(
+            family="random", concept="ps", n_values=(4,), alphas=(F(2),), model="tree"
+        )
+        with pytest.raises(BoundViolation, match="metric ratio 4 exceeds 3"):
+            L.poa_sweep(cfg)
+
+    def test_edge_cost_above_the_distance_bound_raises(self):
+        # The complete network stretches no link (w(0,1) = 100 is bypassed
+        # at 2), but its edge cost 102 exceeds (2*alpha/(n-1) + 1) * 8 = 16.
+        inst = L.Instance(host=L.validate_host([[0, 100, 1], [100, 0, 1], [1, 1, 0]]), alpha=1)
+        with pytest.raises(BoundViolation, match="edge cost exceeds the distance-cost bound"):
+            H._check_network_bounds(inst, L.Network.complete(3), {})
 
     def test_network_bounds_read_one_distance_run(self, monkeypatch):
         # the stretch and the edge-cost bound share one all-pairs run
@@ -565,6 +622,10 @@ class TestRandomInstances:
             for v in range(6):
                 if u != v:
                     assert F(1) <= inst.host.weights[u][v] <= F(10)
+
+    def test_unknown_model_is_refused(self):
+        with pytest.raises(LabInputError, match="unknown model 'nope'"):
+            L.random_instance(3, "nope", 0, F(1))
 
 
 class TestPropertySuite:

@@ -77,6 +77,7 @@ class TestValidateHost:
         lambda: L.Network(n=3, edges=((True, 2),)),
         lambda: L.Network(n=3, edges=((0, 1.0),)),
         lambda: L.Network(n=3, edges=[(0, 1)]),
+        lambda: L.Network(n=3, edges=((0, 1, 2),)),
         lambda: L.HostGraph(n=3, weights=((0, 1), (1, 0))),
         lambda: L.Instance(host=[[0, 1], [1, 0]], alpha=1),
     ],
@@ -86,7 +87,8 @@ class TestValidateHost:
         "short-row", "rational-text", "rational-zero-denominator",
         "network-edge-out-of-range", "network-edge-reversed", "network-self-loop",
         "network-edge-twice", "network-node-bool", "network-node-float",
-        "network-edge-list", "host-rows-short", "instance-host-matrix",
+        "network-edge-list", "network-pair-of-three", "host-rows-short",
+        "instance-host-matrix",
     ],
 )
 def test_bad_values_are_input_errors(build):
@@ -147,6 +149,12 @@ class TestMetricClosure:
         # the check validate_host makes
         with pytest.raises(L.HostTooSmall):
             L.metric_closure(n, [])
+
+    def test_negative_seed_weight_rejected(self):
+        # named as the seed lists it: the host's own check would name (1, 2)
+        with pytest.raises(NegativeWeight) as err:
+            L.metric_closure(3, [(0, 1, F(1)), (2, 1, F(-1))])
+        assert err.value.pair == (2, 1)
 
     @pytest.mark.parametrize("u, v", [(0, -1), (0, 3), (3, 0), (True, 2), (0.0, 1)])
     def test_seed_edge_outside_nodes_rejected(self, u, v):
@@ -228,6 +236,12 @@ class TestStarSocialCost:
         assert L.star_social_cost(3, F(2), F(2)) == F(16)
         assert L.star_social_cost(4, F(2), F(3)) == F(30)
         assert L.star_social_cost(5, F(7), F(0)) == F(0)
+
+    def test_refuses_what_no_star_has(self):
+        with pytest.raises(HostTooSmall):
+            L.star_social_cost(1, F(1), F(1))
+        with pytest.raises(L.LabInputError, match="star total_weight must be non-negative"):
+            L.star_social_cost(3, F(1), F(-5))
 
 
 class TestSpannerStretch:

@@ -144,8 +144,9 @@ class TestBruteForce:
             assert opt.proven
 
 
-def walked_keys(n, step=None, root=None):
-    return [key for key, _ in connected_subgraphs(n, step, root)]
+def walked_keys(n):
+    # a step that keeps every state prunes nothing
+    return [key for key, _ in connected_subgraphs(n, lambda state, j: state, ())]
 
 
 class TestConnectedSubgraphs:
@@ -191,11 +192,6 @@ class TestConnectedSubgraphs:
                     if sum(spend[e] for e in k) <= bound
                 )
                 assert len(calls) == expected
-
-    def test_without_a_step_every_state_is_the_root(self):
-        marker = object()
-        assert all(state is marker for _, state in connected_subgraphs(4, root=marker))
-        assert all(state is None for _, state in connected_subgraphs(4))
 
     def test_prefilter_rows_are_the_engines_rows(self):
         # The rows the ps prefilter carries down the walk are exact: for

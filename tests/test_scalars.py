@@ -44,6 +44,7 @@ def test_sqrt_exact():
     assert sqrt_exact(Fraction(2)) is None
     assert sqrt_exact(Fraction(1, 3)) is None
     assert sqrt_exact(Fraction(0)) == 0
+    assert sqrt_exact(Fraction(-4)) is None
 
 
 def _two_nodes():
@@ -150,6 +151,15 @@ ALPHA_READERS = {
 def test_alpha_spellings_agree(name):
     read = ALPHA_READERS[name]
     assert [read(a) for a in (Fraction(1, 2), "1/2", "0.5")] == [Fraction(1, 2)] * 3
+
+
+# gen_metric_path takes only square alphas, so it has no spelling of 1/2
+@pytest.mark.parametrize("name", sorted(ALPHA_READERS) + ["gen_metric_path"])
+@pytest.mark.parametrize("alpha", [0, -16])
+def test_alpha_readers_refuse_non_positive_alpha(name, alpha):
+    read = ALPHA_READERS.get(name, lambda a: L.gen_metric_path(8, a))
+    with pytest.raises(L.LabInputError, match=f"alpha must be positive, got {alpha}"):
+        read(alpha)
 
 
 def test_int_rule_lives_in_scalars():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -211,6 +212,41 @@ class TestSweepConfigFiles:
     def test_missing_field_rejected(self):
         with pytest.raises(LabInputError):
             S.sweep_config_from_json('{"family": "random"}')
+        required = {"family": "random", "concept": "ps", "n_values": [4], "alphas": ["2"]}
+        for field in required:
+            text = json.dumps({k: v for k, v in required.items() if k != field})
+            with pytest.raises(LabInputError, match=f"'{field}'"):
+                S.sweep_config_from_json(text)
+
+    def test_unknown_fields_are_listed(self):
+        fields = {"family": "random", "concept": "ps", "n_values": [4], "alphas": [2]}
+        text = json.dumps(fields | {"zz": 1, "a": 2})
+        with pytest.raises(LabInputError, match=r"^unknown sweep config field\(s\) \['a', 'zz'\]$"):
+            S.sweep_config_from_json(text)
+
+    def test_file_spellings(self):
+        # concept and variant in any case; an empty variant or budget is none
+        base = {"family": "two_tier_star", "n_values": [4], "alphas": ["2"]}
+        upper = S.sweep_config_from_json(
+            json.dumps(base | {"concept": "BSE", "variant": "BSE", "budget": {"max_moves": 5}})
+        )
+        assert (upper.concept, upper.variant, upper.budget) == ("bse", "bse", L.Budget(max_moves=5))
+        empty = S.sweep_config_from_json(
+            json.dumps(base | {"concept": "Ps", "variant": "", "budget": {}})
+        )
+        assert (empty.concept, empty.variant, empty.budget) == ("ps", None, None)
+        assert (empty.model, empty.count, empty.seed) == ("uniform", 1, 0)
+
+    def test_written_bytes_are_pinned(self):
+        # every field is written, the budget only when there is one
+        cfg = L.SweepConfig(family="two_tier_star", concept="bne", n_values=(4, 5), alphas=("9/4",))
+        assert S.sweep_config_to_json(cfg) == (
+            '{\n  "alphas": [\n    "9/4"\n  ],\n  "concept": "bne",\n  "count": 1,\n'
+            '  "family": "two_tier_star",\n  "model": "uniform",\n'
+            '  "n_values": [\n    4,\n    5\n  ],\n  "seed": 0,\n  "variant": null\n}\n'
+        )
+        budgeted = json.loads(S.sweep_config_to_json(replace(cfg, budget=L.Budget(max_moves=9))))
+        assert budgeted["budget"] == {"max_coalition": None, "max_changes": None, "max_moves": 9}
 
 
 def test_dumps_are_deterministic():
