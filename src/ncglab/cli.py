@@ -13,7 +13,7 @@ from . import fixtures as fx
 from . import harness, properties, serialize
 from .errors import BoundViolation, LabInputError
 from .optimum import brute_force_opt, social_optimum
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational
 from .stability import CONCEPTS, INCONCLUSIVE, UNSTABLE, Budget, check, move_deltas
 
 EXIT_OK = 0
@@ -186,7 +186,7 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a lower-bound fixture bundle")
     p.add_argument("family", choices=fx.FAMILIES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=parse_rational, required=True)
+    p.add_argument("--alpha", required=True)  # a string: generate parses it and names the rule
     p.add_argument("--variant", choices=CONCEPTS, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)

@@ -32,6 +32,15 @@ alone re-runs almost every row of a near-tree network, where most edges
 are bridges. Both kernels return each row they leave unchanged as the
 same object, so its cached sum carries over: ``social_after_add`` and
 ``fill_after_remove`` reuse it.
+
+A third kernel, ``mover_rows``, prices the networks that differ from one
+network R only in links at one agent u (``_MoverRows``). A shortest path
+from u leaves u once, through an edge of R or one link, so u's row is
+the elementwise min of its row in R and each link's ``W(u,y) + d_R(y,.)``,
+and any other node's row is its row in R or a path through u. The
+stability search reads it with R = G for the addition bounds of a lone
+mover and with R = G - u for each of its moves, so no move of one agent
+builds a state or runs a Dijkstra of its own.
 """
 
 from fractions import Fraction
@@ -52,6 +61,79 @@ class _NetState:
         self.adj = adj
         self.rows = [None] * n
         self.sums = [None] * n
+
+
+class _MoverRows:
+    """Agent u's distance rows and costs in the networks R + L, where R is
+    one engine state's network and L a set of links at u, taken from a
+    fixed list ``links`` and named by a bit mask over it.
+
+    With non-negative weights a shortest path from u can be taken simple,
+    so it leaves u once: its first step is an edge of R at u or one link
+    uy, and the rest runs in R. Hence u's row in R + L is the elementwise
+    min of u's row in R and, per link y, ``W(u,y) + d_R(y,.)``; zero
+    weights change nothing, and a node no step reaches stays ``inf``. A
+    path from another node v that uses a link passes through u, so v's
+    row is ``min(d_R(v,.), d(v,u) + d(u,.))`` with u's row in R + L
+    (``sum_through``). No Dijkstra runs on R + L: R's rows are read
+    through ``_row``, so they fill R's memo and count as its runs.
+
+    Each mask's row is one min of the mask less its lowest link with that
+    link's shifted row, both kept, so masks that share links share work.
+    """
+
+    __slots__ = ("engine", "st", "u", "links", "w", "shifted", "alone", "memo")
+
+    def __init__(self, engine, st, u, links):
+        self.engine = engine
+        self.st = st
+        self.u = u
+        self.links = links
+        self.w = [engine.W[u][y] for y in links]
+        self.shifted = [None] * len(links)  # W(u,y) + d_R(y,.), u's own entry 0
+        # with no edge at u in R, u's row there is 0 at u and inf elsewhere,
+        # and a single link's row is its shifted row
+        self.alone = not st.adj[u]
+        if self.alone:
+            row = [INF] * engine.n
+            row[u] = 0
+        else:
+            row = engine._row(st, u)
+        self.memo = {0: (row, sum(w for _, w in st.adj[u]))}  # link mask -> u's row, spend
+
+    def _linked(self, mask):
+        got = self.memo.get(mask)
+        if got is None:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            shifted = self.shifted[i]
+            if shifted is None:
+                u = self.u
+                shifted = [self.w[i] + a for a in self.engine._row(self.st, self.links[i])]
+                shifted[u] = 0
+                self.shifted[i] = shifted
+            rest = mask ^ low
+            if rest or not self.alone:
+                row, spend = self._linked(rest)
+                got = (list(map(min, row, shifted)), spend + self.w[i])
+            else:
+                got = (shifted, self.w[i])
+            self.memo[mask] = got
+        return got
+
+    def row(self, mask):
+        """u's distance row in R plus the links of ``mask``."""
+        return self._linked(mask)[0]
+
+    def member_cost(self, mask):
+        """u's scaled cost in R plus the links of ``mask``, as ``member_cost``."""
+        row, spend = self._linked(mask)
+        return self.engine.p * spend + self.engine.q * sum(row)
+
+    def sum_through(self, v, ru):
+        """v's distance sum in R plus some links, from u's row ``ru`` there."""
+        c = ru[v]
+        return sum(a if a <= c + b else c + b for a, b in zip(self.engine._row(self.st, v), ru))
 
 
 class CostEngine:
@@ -173,6 +255,11 @@ class CostEngine:
         w = self.W[u][v]
         return [a if a <= w + b else w + b for a, b in zip(ru, rv)]
 
+    def mover_rows(self, key: tuple, u: int, links) -> _MoverRows:
+        """u's rows in ``key``'s network plus subsets of the links from u
+        to ``links`` (``_MoverRows``)."""
+        return _MoverRows(self, self.state(key), u, links)
+
     def rows_after_add(self, rows, u, v):
         """All distance rows after adding edge {u,v} of weight w, from the
         exact rows before it (ints or ``inf``).
@@ -205,15 +292,18 @@ class CostEngine:
             out.append(rx)
         return out
 
-    def social_after_add(self, key: tuple, u: int, v: int):
+    def social_after_add(self, key: tuple, u: int, v: int, spend=None):
         """Social cost of the network plus edge {u,v}, by ``rows_after_add``
-        from the network's rows; each unchanged row keeps its cached sum."""
+        from the network's rows; each unchanged row keeps its cached sum.
+        ``spend`` is the network's total edge weight, summed here when the
+        caller has not summed it once for many calls."""
         rows, sums = self._filled(self.state(key))
         dist_part = 0
         for rx, old, s in zip(self.rows_after_add(rows, u, v), rows, sums):
             dist_part += s if rx is old else sum(rx)
-        edge_part = sum(self.W[a][b] for a, b in key) + self.W[u][v]
-        return 2 * self.p * edge_part + self.q * dist_part
+        if spend is None:
+            spend = sum(self.W[a][b] for a, b in key)
+        return 2 * self.p * (spend + self.W[u][v]) + self.q * dist_part
 
     def rows_after_remove(self, rows, adj, u, v):
         """All distance rows after removing edge {u,v} of weight w, from the

@@ -176,16 +176,17 @@ def _local_search(engine, start_key):
     skipped unpriced too, and every descent stays the same.
     """
     pairs = _all_pairs(engine.n)
-    two_p = 2 * engine.p
+    two_p, W = 2 * engine.p, engine.W
     key = start_key
     cost = engine.social_cost(key)
     while True:
         best_cost, best_key = cost, key
         eset = set(key)
+        spend = sum(W[a][b] for a, b in key)  # once per step: every add and swap reads it
         non_edges = [e for e in pairs if e not in eset]
         add_costs = []
         for e in non_edges:
-            c = engine.social_after_add(key, e[0], e[1])
+            c = engine.social_after_add(key, e[0], e[1], spend)
             add_costs.append(c)
             if c < best_cost:
                 best_cost, best_key = c, canonical_edges(eset | {e})
@@ -196,13 +197,13 @@ def _local_search(engine, start_key):
             if c < best_cost:
                 best_cost, best_key = c, smaller
             bridge = is_inf(near[e[1]])
-            dropped = two_p * engine.W[e[0]][e[1]]
+            dropped = two_p * W[e[0]][e[1]]
             for f, add_cost in zip(non_edges, add_costs):
                 if add_cost - dropped >= best_cost:
                     continue
                 if bridge and is_inf(near[f[0]]) == is_inf(near[f[1]]):
                     continue
-                c2 = engine.social_after_add(smaller, f[0], f[1])
+                c2 = engine.social_after_add(smaller, f[0], f[1], spend - W[e[0]][e[1]])
                 if c2 < best_cost:
                     best_cost, best_key = c2, canonical_edges((eset - {e}) | {f})
         if best_cost >= cost:

@@ -45,6 +45,29 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
 Pruned moves never count against the move budget and cannot change which
 witness is found first, because only non-improving moves are pruned.
 
+A search with one mover u, every bne agent and every bse singleton, is
+priced from distance rows (``_MoverPricing``), while larger coalitions
+price each move on an engine state of its network.
+Both give the same scaled integers, so verdicts, witnesses and gains
+do not depend on which one ran. A move of u alone changes only edges at
+u, and with non-negative weights (zero-weight links included) a
+shortest path from u can be taken simple, so it leaves u once. Two
+identities follow, with P the partners and A the added edges:
+
+  (a) in G + A, ``d(u,.) = min(d_G(u,.), min_{v in P} W(u,v) + d_G(v,.))``
+      and, for any other node v, ``d(v,.) = min(d_G(v,.), d(v,u) + d(u,.))``,
+      since a path that uses an added edge passes through u;
+  (b) in G + A - R, ``d(u,.) = min_y W(u,y) + d_{G-u}(y,.)`` over the
+      neighbours y that u keeps and its partners, with u's own entry 0,
+      and ``d(v,.) = min(d_{G-u}(v,.), d(v,u) + d(u,.))``, since the
+      network away from u is G - u.
+
+The addition bounds, and the coalition bound of a lone mover, read (a)
+from G's rows; each move reads (b) from the rows of G - u. G - u is an
+ordinary engine state keyed by G's edges that avoid u, so the checks of
+one engine, such as the bne and bse checks of one enumeration candidate,
+share its rows and count its Dijkstra runs.
+
 One more sound prune discards whole networks before any search: the ps
 prefilter (``ps_prefilter``) that candidate enumeration runs along its
 walk over connected subgraphs. A network it refutes from its own and its
@@ -71,6 +94,7 @@ networks refuted by an early ps move skip most distance rows.
 """
 
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import combinations
 
 from .engine import CostEngine, canonical_edges
@@ -288,6 +312,7 @@ class _Search:
         self.spend_cap = [None] * n
         self.evaluated = 0
         self.frontier = None  # set by the first budget cut
+        self.mover_pricing = None  # of the last lone mover searched
 
     def _prepare(self, u):
         """Fill agent u's incident weight, base cost, distance sum and spend cap."""
@@ -325,16 +350,16 @@ class _Search:
             raise _BudgetStop()
         self.evaluated += 1
 
-    def _gain_bound(self, m, plus_key, added_inc, removable_inc):
+    def _gain_bound(self, m, d_plus, added_inc, removable_inc):
         """Optimistic gain of member m for any removal set under fixed A.
 
-        ``removable_inc`` is the weight m may still shed: all its incident
-        edges for a mover, zero for a partner. None means m provably cannot
-        improve under this A; an infinite bound is vacuous (current cost
-        infinite, candidate finite).
+        ``d_plus`` is m's distance sum in G + A. ``removable_inc`` is the
+        weight m may still shed: all its incident edges for a mover, zero
+        for a partner. None means m provably cannot improve under this A;
+        an infinite bound is vacuous (current cost infinite, candidate
+        finite).
         """
         eng = self.engine
-        d_plus = eng.dist_sum(plus_key, m)
         if is_inf(d_plus):
             return None  # still disconnected with every addition in place
         return (
@@ -417,6 +442,13 @@ class _Search:
                 ]
                 yield from self._joint_moves(gamma, addable, BSE, f"coalition {gamma}")
 
+    def _mover_pricing(self, u, addable):
+        """The ``_MoverPricing`` of lone mover u, kept for the mover searched
+        last so that its coalition bound and its masks share one."""
+        if self.mover_pricing is None or self.mover_pricing.u != u:
+            self.mover_pricing = _MoverPricing(self, u, addable)
+        return self.mover_pricing
+
     def _coalition_hopeless(self, movers, addable):
         """True if some mover has no positive gain bound in G + ``addable``.
 
@@ -424,9 +456,12 @@ class _Search:
         a member pays at least 0 for its additions, so this bound is at
         least each addition set's bound for that mover.
         """
-        plus_key = canonical_edges(self.eset.union(addable))
+        if len(movers) == 1:
+            plus_sum = self._mover_pricing(movers[0], addable).plus_sums((1 << len(addable)) - 1)
+        else:
+            plus_sum = partial(self.engine.dist_sum, canonical_edges(self.eset.union(addable)))
         return any(
-            not self._bound_allows(self._gain_bound(m, plus_key, 0, self.rem_inc[m]))
+            not self._bound_allows(self._gain_bound(m, plus_sum(m), 0, self.rem_inc[m]))
             for m in movers
         )
 
@@ -453,6 +488,9 @@ class _Search:
         (only tried with two or more addable pairs: with one, that pair's
         per-set bound already prices G + ``addable``), and a mask refused for
         its affordability or the change cap skips its supersets above it.
+        A lone mover's bounds and moves are priced by ``_MoverPricing``, a
+        coalition's on an engine state of each network (see the module
+        docstring).
         """
         eng = self.engine
         cap = self.budget.max_changes
@@ -463,9 +501,10 @@ class _Search:
             self._note_skip(f"{who}: moves beyond {cap} changes")
         if len(addable) >= 2 and self._coalition_hopeless(movers, addable):
             return
+        one = self._mover_pricing(movers[0], addable) if len(movers) == 1 else None
+        eset = self.eset
         rem_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in removable]
         add_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in addable]
-        eset = self.eset
         a_mask, a_end = 0, 1 << len(addable)
         while a_mask < a_end:
             mask = a_mask
@@ -491,12 +530,15 @@ class _Search:
             ):
                 a_mask = self._past_supersets(mask)
                 continue
-            plus_set = eset | set(adds)
-            plus_key = canonical_edges(plus_set)
+            if one is None:
+                plus_set = eset | set(adds)
+                plus_sum = partial(eng.dist_sum, canonical_edges(plus_set))
+            else:
+                plus_sum = one.plus_sums(mask)
             if not all(
                 self._bound_allows(
                     self._gain_bound(
-                        m, plus_key, inc, self.rem_inc[m] if m in bit else 0
+                        m, plus_sum(m), inc, self.rem_inc[m] if m in bit else 0
                     )
                 )
                 for m, inc in added_inc.items()
@@ -514,6 +556,11 @@ class _Search:
                 if cap is not None and len(rems) + len(adds) > cap:
                     continue
                 self._count_eval()
+                if one is not None:
+                    gain = one.gain(added_inc, r_mask)
+                    if gain is not None:
+                        yield Move.make(added_inc, rems, adds, concept=concept), gain
+                    continue
                 new_key = canonical_edges(plus_set - set(rems))
                 gain = 0
                 for m in added_inc:  # summed only past the strict test: never inf - inf
@@ -536,6 +583,81 @@ class _Search:
             yield from gen()
         except _BudgetStop:
             return
+
+
+class _MoverPricing:
+    """Prices the moves of one mover u from the rows of G and of G - u.
+
+    Every such move changes only edges at u (additions to partners,
+    removals of u's own edges), so the engine's ``mover_rows`` identities
+    apply: G + A is G plus links at u, and G + A - R is G - u plus the
+    links u keeps, to its unremoved neighbours and its partners. The
+    bounds read G's rows, every move G - u's, and no move builds a state.
+    G - u is an ordinary engine state, looked up on the first priced
+    move, so the searches of one engine share its rows.
+    """
+
+    __slots__ = (
+        "engine", "gkey", "rem_inc", "base", "base_dist", "u",
+        "partner_of", "nbrs", "kept_all", "g", "h", "a_mask",
+    )
+
+    def __init__(self, search, u, addable):
+        self.engine = search.engine
+        self.gkey = search.gkey
+        self.rem_inc, self.base, self.base_dist = search.rem_inc, search.base, search.base_dist
+        self.u = u
+        self.partner_of = [a if b == u else b for a, b in addable]  # per addition bit
+        # u's neighbours by increasing index, as the sorted key lists its
+        # edges: removal bit i drops the link to nbrs[i]
+        self.nbrs = [y for y, _ in self.engine.state(self.gkey).adj[u]]
+        self.kept_all = (1 << len(self.nbrs)) - 1
+        self.g = None  # over G, links to the partners; built by the first bound
+        self.h = None  # over G - u, links to nbrs then partners; by the first move
+        self.a_mask = 0
+
+    def plus_sums(self, a_mask):
+        """Fix the addition set A, the additions of ``a_mask``, for
+        ``gain``; return a function giving each member's distance sum in
+        G + A."""
+        self.a_mask = a_mask
+        if not a_mask:  # G itself, and u the only member
+            return self.base_dist.__getitem__
+        u, g = self.u, self.g
+        if g is None:
+            g = self.g = self.engine.mover_rows(self.gkey, u, self.partner_of)
+        ru = g.row(a_mask)
+        return lambda m: sum(ru) if m == u else g.sum_through(m, ru)
+
+    def gain(self, added_inc, r_mask):
+        """The members' total strict gain from G + A less the removals of
+        ``r_mask``, or None unless every member (u, then the partners, the
+        keys of ``added_inc``) strictly gains. A partner is priced only once
+        u gains, and gains are summed only past the strict test, so never
+        ``inf - inf``."""
+        u, eng = self.u, self.engine
+        links = (self.kept_all ^ r_mask) | self.a_mask << len(self.nbrs)
+        if not links:
+            return None  # u keeps no edge: it reaches no one, at cost inf
+        h = self.h
+        if h is None:
+            minus_u = tuple(e for e in self.gkey if u not in e)
+            h = self.h = eng.mover_rows(minus_u, u, self.nbrs + self.partner_of)
+        base = self.base
+        cost = h.member_cost(links)
+        if cost >= base[u]:
+            return None
+        gain = base[u] - cost
+        if len(added_inc) > 1:
+            ru = h.row(links)
+            for v, inc in added_inc.items():  # u, then the partners
+                if v == u:
+                    continue
+                cost = eng.p * (self.rem_inc[v] + inc) + eng.q * h.sum_through(v, ru)
+                if cost >= base[v]:
+                    return None
+                gain += base[v] - cost
+        return gain
 
 
 # -- ps refutation along the candidate walk -----------------------------------

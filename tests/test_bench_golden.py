@@ -1,10 +1,11 @@
-"""Seed 0 of three benchmark workloads still gives its recorded results.
+"""Seed 0 of every benchmark workload still gives its recorded results.
 
 ``bench/golden.json`` holds the digest of every benchmark call's checked
 result, and the benchmark counts a call whose digest differs as failed.
-These tests run seed 0 of ``sweep_n5``, ``enum_n6`` and ``opt_n7`` through
-``bench/workloads.py``'s own calls and checks, so a change that moves a
-report byte fails the test suite too. They read ``bench/`` and write
+These tests run seed 0 of ``sweep_n5``, ``enum_n6``, ``opt_n7`` and
+``coalition_n8`` through ``bench/workloads.py``'s own calls and checks, so
+a change that moves a report byte, or a step of ``coalition_n8``'s bne
+best-response dynamics, fails the test suite too. They read ``bench/`` and write
 nothing there. A change meant to move results rewrites ``golden.json``
 with ``bench/make_golden.py``, and these tests follow it unedited.
 """
@@ -27,7 +28,7 @@ def _load_workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["sweep_n5", "enum_n6", "opt_n7"])
+@pytest.mark.parametrize("name", ["sweep_n5", "enum_n6", "opt_n7", "coalition_n8"])
 def test_seed_zero_matches_the_golden_digests(name, monkeypatch):
     workloads = _load_workloads(monkeypatch)
     golden = json.loads((BENCH / "golden.json").read_text())

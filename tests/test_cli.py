@@ -324,6 +324,13 @@ class TestGenAndVerify:
     def test_gen_rejects_non_positive_or_unparsable_alpha(self, family, alpha):
         assert main(["gen", family, "--n", "4", "--alpha", alpha]) == 3
 
+    def test_gen_names_the_rational_rule_for_unparsable_alpha(self, capsys):
+        # argparse used to refuse it first, naming its own converter
+        assert main(["gen", "zero_cluster", "--n", "4", "--alpha", "abc"]) == 3
+        out, err = capsys.readouterr()
+        assert "input error: alpha must be an exact rational" in err
+        assert "parse_rational" not in out + err
+
     @pytest.mark.parametrize(
         "family, alpha", [("zero_cluster", "-5"), ("cluster_path", "-16"), ("two_tier_star", "0")]
     )

@@ -107,6 +107,55 @@ class TestRemoveKernel:
         assert kept > 20_000
 
 
+class TestMoverKernel:
+    def test_rows_with_links_at_one_agent_match_fresh_states(self, monkeypatch):
+        # R = G with links to u's non-neighbours prices G + A; R = G - u with
+        # links to any other nodes prices every move of u alone
+        runs = []
+        dijkstra = CostEngine._dijkstra
+
+        def recorded(self, adj, source):
+            runs.append(adj)
+            return dijkstra(self, adj, source)
+
+        rng = random.Random(8)
+        checked = infinite = zero_links = 0
+        for inst in instances():
+            n = inst.n
+            if n > 6:
+                continue
+            engine = CostEngine(inst)
+            for key in keys(n, rng):
+                for u in range(n):
+                    nbrs = [a if b == u else b for a, b in key if u in (a, b)]
+                    others = [v for v in range(n) if v != u and v not in nbrs]
+                    minus_u = tuple(e for e in key if u not in e)
+                    for base, links in ((key, others), (minus_u, nbrs + others)):
+                        monkeypatch.setattr(CostEngine, "_dijkstra", recorded)
+                        rows = engine.mover_rows(base, u, links)
+                        got = []
+                        for mask in range(1 << len(links)):
+                            ru = rows.row(mask)
+                            sums = [rows.sum_through(v, ru) for v in range(n) if v != u]
+                            got.append((ru, rows.member_cost(mask), sums))
+                        monkeypatch.setattr(CostEngine, "_dijkstra", dijkstra)
+                        # every Dijkstra the kernel ran was one of R's rows
+                        assert all(adj is engine.state(base).adj for adj in runs)
+                        runs.clear()
+                        for mask, (ru, cost, sums) in enumerate(got):
+                            linked = [y for i, y in enumerate(links) if mask >> i & 1]
+                            net = canonical_edges(base + tuple((min(u, y), max(u, y)) for y in linked))
+                            assert ru == engine.row(net, u)
+                            assert cost == engine.member_cost(net, u)
+                            assert sums == [engine.dist_sum(net, v) for v in range(n) if v != u]
+                            infinite += is_inf(cost)
+                            zero_links += any(engine.W[u][y] == 0 for y in linked)
+                            checked += 1
+        assert checked > 80_000
+        assert infinite > 30_000
+        assert zero_links > 12_000
+
+
 def test_no_public_call_takes_an_engine():
     # an engine holds one instance's weights and alpha; handed to a call on
     # another instance it gave that instance's answers, so each call builds

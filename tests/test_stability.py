@@ -19,7 +19,7 @@ from ncglab.errors import (
     MoveError,
     RemovalNotPresent,
 )
-from ncglab.scalars import INF
+from ncglab.scalars import INF, is_inf
 from ncglab.stability import _run_checker, _Search
 
 
@@ -484,7 +484,7 @@ class TestCoalitionPrunes:
         engine = CostEngine(fx.instance)
         verdict = _run_checker(fx.instance, fx.stable_net, "bse", None, engine)
         assert (verdict.status, verdict.moves_evaluated) == ("stable", 192)
-        assert len(engine._states) == 185
+        assert len(engine._states) == 122  # one-mover moves build none of their own
 
     def test_zero_cluster_9_finishes_in_bounded_memory(self):
         # the unpruned search grew memory until MemoryError at this size
@@ -508,6 +508,75 @@ class TestCoalitionPrunes:
             env=env,
         )
         assert (done.returncode, done.stdout.strip()) == (0, "stable"), done.stderr
+
+
+def _mover_pricing_cases():
+    """(instance, network): seeded n<=5 networks, then the zero_cluster and
+    two_tier_star fixtures at n=5-6 with their stable, reference, empty
+    and complete networks."""
+    cases = list(_seeded_networks(71, 60, 5))
+    fixtures = [L.gen_general_bse(n, F(2)) for n in (5, 6)]
+    fixtures += [L.gen_metric_star(n, F(4), v) for n in (5, 6) for v in ("ps", "bne", "bse")]
+    for fx in fixtures:
+        n = fx.instance.n
+        for net in (fx.stable_net, fx.reference_net, L.Network.empty(n), L.Network.complete(n)):
+            cases.append((fx.instance, net))
+    return cases
+
+
+class TestMoverPricing:
+    """A lone mover's bounds and moves, priced from the rows of G and of
+    G - u, match pricing each network on its own engine state, for every
+    addition set at u, affordable or not, and every removal set."""
+
+    def test_bounds_and_costs_match_fresh_states(self):
+        checked = improving = infinite = 0
+        for inst, net in _mover_pricing_cases():
+            n = inst.n
+            engine, fresh = CostEngine(inst), CostEngine(inst)
+            search = _Search(inst, net, None, engine)
+            search._prepare_all()
+            base = list(search.base)
+            eset = set(net.edges)
+            for u in range(n):
+                addable = [(min(u, v), max(u, v)) for v in range(n) if v != u]
+                addable = [e for e in addable if e not in eset]
+                removable = [e for e in net.edges if u in e]
+                pricing = search._mover_pricing(u, addable)
+                for a_mask in range(1 << len(addable)):
+                    adds = [e for i, e in enumerate(addable) if a_mask >> i & 1]
+                    added_inc = {u: 0}
+                    for a, b in adds:
+                        w = engine.W[a][b]
+                        added_inc[u] += w
+                        added_inc[b if a == u else a] = w
+                    plus_key = canonical_edges(eset | set(adds))
+                    plus_sum = pricing.plus_sums(a_mask)
+                    for m in added_inc:
+                        assert plus_sum(m) == fresh.dist_sum(plus_key, m)
+                    for r_mask in range(1 << len(removable)):
+                        if not (a_mask or r_mask):
+                            continue
+                        rems = [e for i, e in enumerate(removable) if r_mask >> i & 1]
+                        key = canonical_edges((eset | set(adds)) - set(rems))
+                        costs = {m: fresh.member_cost(key, m) for m in added_inc}
+                        expected = None
+                        if all(costs[m] < base[m] for m in costs):
+                            expected = sum(base[m] - costs[m] for m in costs)
+                            improving += 1
+                        assert pricing.gain(added_inc, r_mask) == expected
+                        # with each base one above its exact cost, every
+                        # member gains exactly 1: a cost off either way shows
+                        for m in costs:
+                            search.base[m] = costs[m] + 1
+                        exact = None if any(is_inf(c) for c in costs.values()) else len(costs)
+                        assert pricing.gain(added_inc, r_mask) == exact
+                        search.base[:] = base
+                        infinite += exact is None
+                        checked += 1
+        assert checked > 6_000
+        assert improving > 1_500
+        assert infinite > 2_000
 
 
 def _pinned_case(name):
