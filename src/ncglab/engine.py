@@ -39,8 +39,9 @@ from u leaves u once, through an edge of R or one link, so u's row is
 the elementwise min of its row in R and each link's ``W(u,y) + d_R(y,.)``,
 and any other node's row is its row in R or a path through u. The
 stability search reads it with R = G for the addition bounds of a lone
-mover and with R = G - u for each of its moves, so no move of one agent
-builds a state or runs a Dijkstra of its own.
+mover and with R = G - u for each of its moves, a ps removal or pair
+included, so no move of one agent builds a state or runs a Dijkstra of
+its own.
 """
 
 from fractions import Fraction

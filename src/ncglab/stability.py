@@ -45,9 +45,11 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
 Pruned moves never count against the move budget and cannot change which
 witness is found first, because only non-improving moves are pruned.
 
-A search with one mover u, every bne agent and every bse singleton, is
-priced from distance rows (``_MoverPricing``), while larger coalitions
-price each move on an engine state of its network.
+A search with one mover u, every ps agent, every bne agent and every bse
+singleton, is priced from distance rows (``_MoverPricing``), while larger
+coalitions price each move on an engine state of its network. A ps
+removal is u's move alone, and a ps addition uv is u's move with the
+single partner v.
 Both give the same scaled integers, so verdicts, witnesses and gains
 do not depend on which one ran. A move of u alone changes only edges at
 u, and with non-negative weights (zero-weight links included) a
@@ -65,8 +67,8 @@ identities follow, with P the partners and A the added edges:
 The addition bounds, and the coalition bound of a lone mover, read (a)
 from G's rows; each move reads (b) from the rows of G - u. G - u is an
 ordinary engine state keyed by G's edges that avoid u, so the checks of
-one engine, such as the bne and bse checks of one enumeration candidate,
-share its rows and count its Dijkstra runs.
+one engine, such as the ps, bne and bse checks of one enumeration
+candidate, share its rows and count its Dijkstra runs.
 
 One more sound prune discards whole networks before any search: the ps
 prefilter (``ps_prefilter``) that candidate enumeration runs along its
@@ -374,37 +376,30 @@ class _Search:
     # -- pairwise stability -------------------------------------------------
 
     def ps_moves(self):
+        """Improving ps moves: per agent u, its removals by increasing edge,
+        then its pairs with v > u by increasing v, all priced by one
+        ``_MoverPricing``."""
         eng = self.engine
-        eset = self.eset
         n = eng.n
         for u in range(n):
             self._prepare(u)
             if self.spend_cap[u] <= 0:
                 continue  # dead: neither u's removals nor its pairs can improve
-            incident = sorted(e for e in self.gkey if u in e)
-            for e in incident:
+            pairs = [(u, v) for v in range(u + 1, n) if (u, v) not in self.eset]
+            one = _MoverPricing(self, u, pairs)
+            for i, y in enumerate(one.nbrs):  # u's edges in sorted order
                 self._count_eval()
-                cost = eng.member_cost(canonical_edges(eset - {e}), u)
-                if cost < self.base[u]:
-                    yield Move.make((u,), removals=(e,), concept=PS), self.base[u] - cost
-            for v in range(u + 1, n):
-                if (u, v) in eset:
-                    continue
+                gain = one.gain({u: 0}, 0, 1 << i)
+                if gain is not None:
+                    yield Move.make((u,), removals=((u, y),), concept=PS), gain
+            for k, (_, v) in enumerate(pairs):
                 self._prepare(v)
                 if not self._affordable(u, v):
                     continue
                 self._count_eval()
                 w = eng.W[u][v]
-                cost_u = eng.p * (self.rem_inc[u] + w) + eng.q * sum(
-                    eng.row_after_add(self.gkey, u, v)
-                )
-                if cost_u >= self.base[u]:
-                    continue
-                cost_v = eng.p * (self.rem_inc[v] + w) + eng.q * sum(
-                    eng.row_after_add(self.gkey, v, u)
-                )
-                if cost_v < self.base[v]:
-                    gain = self.base[u] - cost_u + self.base[v] - cost_v
+                gain = one.gain({u: w, v: w}, 1 << k, 0)
+                if gain is not None:
                     yield Move.make((u, v), additions=((u, v),), concept=PS), gain
 
     # -- neighborhood and strong equilibrium ----------------------------------
@@ -557,7 +552,7 @@ class _Search:
                     continue
                 self._count_eval()
                 if one is not None:
-                    gain = one.gain(added_inc, r_mask)
+                    gain = one.gain(added_inc, mask, r_mask)
                     if gain is not None:
                         yield Move.make(added_inc, rems, adds, concept=concept), gain
                     continue
@@ -591,15 +586,17 @@ class _MoverPricing:
     Every such move changes only edges at u (additions to partners,
     removals of u's own edges), so the engine's ``mover_rows`` identities
     apply: G + A is G plus links at u, and G + A - R is G - u plus the
-    links u keeps, to its unremoved neighbours and its partners. The
-    bounds read G's rows, every move G - u's, and no move builds a state.
-    G - u is an ordinary engine state, looked up on the first priced
-    move, so the searches of one engine share its rows.
+    links u keeps, to its unremoved neighbours and its partners. A move
+    names A by ``a_mask``, a bit per pair of ``addable``, and R by
+    ``r_mask``, a bit per neighbour in ``nbrs``. The bounds read G's rows,
+    every move G - u's, and no move builds a state. G - u is an ordinary
+    engine state, looked up on the first priced move, so the searches of
+    one engine share its rows.
     """
 
     __slots__ = (
         "engine", "gkey", "rem_inc", "base", "base_dist", "u",
-        "partner_of", "nbrs", "kept_all", "g", "h", "a_mask",
+        "partner_of", "nbrs", "kept_all", "g", "h",
     )
 
     def __init__(self, search, u, addable):
@@ -614,13 +611,10 @@ class _MoverPricing:
         self.kept_all = (1 << len(self.nbrs)) - 1
         self.g = None  # over G, links to the partners; built by the first bound
         self.h = None  # over G - u, links to nbrs then partners; by the first move
-        self.a_mask = 0
 
     def plus_sums(self, a_mask):
-        """Fix the addition set A, the additions of ``a_mask``, for
-        ``gain``; return a function giving each member's distance sum in
-        G + A."""
-        self.a_mask = a_mask
+        """A function giving each member's distance sum in G + A, where A
+        is the additions of ``a_mask``."""
         if not a_mask:  # G itself, and u the only member
             return self.base_dist.__getitem__
         u, g = self.u, self.g
@@ -629,14 +623,14 @@ class _MoverPricing:
         ru = g.row(a_mask)
         return lambda m: sum(ru) if m == u else g.sum_through(m, ru)
 
-    def gain(self, added_inc, r_mask):
-        """The members' total strict gain from G + A less the removals of
-        ``r_mask``, or None unless every member (u, then the partners, the
-        keys of ``added_inc``) strictly gains. A partner is priced only once
-        u gains, and gains are summed only past the strict test, so never
-        ``inf - inf``."""
+    def gain(self, added_inc, a_mask, r_mask):
+        """The members' total strict gain from G plus the additions of
+        ``a_mask`` less the removals of ``r_mask``, or None unless every
+        member (u, then the partners, the keys of ``added_inc``) strictly
+        gains. A partner is priced only once u gains, and gains are summed
+        only past the strict test, so never ``inf - inf``."""
         u, eng = self.u, self.engine
-        links = (self.kept_all ^ r_mask) | self.a_mask << len(self.nbrs)
+        links = (self.kept_all ^ r_mask) | a_mask << len(self.nbrs)
         if not links:
             return None  # u keeps no edge: it reaches no one, at cost inf
         h = self.h

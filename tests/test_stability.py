@@ -261,8 +261,9 @@ def _naive_bse(inst, net):
     return None
 
 
-def _naive_ps(inst, net):
-    """Unpruned pairwise search: the first improving move in canonical order.
+def _naive_ps_moves(inst, net):
+    """Unpruned pairwise search: every improving move in canonical order,
+    each with its gain priced on a fresh state of the network it reaches.
 
     For each agent u in turn: its removals by increasing edge, then its
     additions to partners v > u by increasing v.
@@ -273,15 +274,23 @@ def _naive_ps(inst, net):
     base = [eng.member_cost(gkey, u) for u in range(inst.n)]
     for u in range(inst.n):
         for e in sorted(e for e in gkey if u in e):
-            if eng.member_cost(canonical_edges(eset - {e}), u) < base[u]:
-                return L.Move.make((u,), removals=(e,), concept="ps")
+            cost = eng.member_cost(canonical_edges(eset - {e}), u)
+            if cost < base[u]:
+                yield L.Move.make((u,), removals=(e,), concept="ps"), base[u] - cost
         for v in range(u + 1, inst.n):
             if (u, v) in eset:
                 continue
             key = canonical_edges(eset | {(u, v)})
-            if all(eng.member_cost(key, m) < base[m] for m in (u, v)):
-                return L.Move.make((u, v), additions=((u, v),), concept="ps")
-    return None
+            cost_u, cost_v = eng.member_cost(key, u), eng.member_cost(key, v)
+            if cost_u < base[u] and cost_v < base[v]:
+                gain = base[u] - cost_u + base[v] - cost_v
+                yield L.Move.make((u, v), additions=((u, v),), concept="ps"), gain
+
+
+def _naive_ps(inst, net):
+    """The first improving pairwise move in canonical order, or None."""
+    found = next(_naive_ps_moves(inst, net), None)
+    return None if found is None else found[0]
 
 
 def _naive_bne(inst, net):
@@ -510,11 +519,10 @@ class TestCoalitionPrunes:
         assert (done.returncode, done.stdout.strip()) == (0, "stable"), done.stderr
 
 
-def _mover_pricing_cases():
-    """(instance, network): seeded n<=5 networks, then the zero_cluster and
-    two_tier_star fixtures at n=5-6 with their stable, reference, empty
-    and complete networks."""
-    cases = list(_seeded_networks(71, 60, 5))
+def _fixture_networks():
+    """(instance, network): the zero_cluster and two_tier_star fixtures at
+    n=5-6 with their stable, reference, empty and complete networks."""
+    cases = []
     fixtures = [L.gen_general_bse(n, F(2)) for n in (5, 6)]
     fixtures += [L.gen_metric_star(n, F(4), v) for n in (5, 6) for v in ("ps", "bne", "bse")]
     for fx in fixtures:
@@ -522,6 +530,11 @@ def _mover_pricing_cases():
         for net in (fx.stable_net, fx.reference_net, L.Network.empty(n), L.Network.complete(n)):
             cases.append((fx.instance, net))
     return cases
+
+
+def _mover_pricing_cases():
+    """(instance, network): seeded n<=5 networks, then ``_fixture_networks``."""
+    return list(_seeded_networks(71, 60, 5)) + _fixture_networks()
 
 
 class TestMoverPricing:
@@ -564,19 +577,43 @@ class TestMoverPricing:
                         if all(costs[m] < base[m] for m in costs):
                             expected = sum(base[m] - costs[m] for m in costs)
                             improving += 1
-                        assert pricing.gain(added_inc, r_mask) == expected
+                        assert pricing.gain(added_inc, a_mask, r_mask) == expected
                         # with each base one above its exact cost, every
                         # member gains exactly 1: a cost off either way shows
                         for m in costs:
                             search.base[m] = costs[m] + 1
                         exact = None if any(is_inf(c) for c in costs.values()) else len(costs)
-                        assert pricing.gain(added_inc, r_mask) == exact
+                        assert pricing.gain(added_inc, a_mask, r_mask) == exact
                         search.base[:] = base
                         infinite += exact is None
                         checked += 1
         assert checked > 6_000
         assert improving > 1_500
         assert infinite > 2_000
+
+
+class TestPsPricing:
+    """Every ps move is a lone mover's move, a pair being u's move with
+    the single partner v, so ps reads the same rows as bne and bse."""
+
+    def test_whole_move_stream_matches_fresh_states(self):
+        cases = list(_seeded_networks(73, 150, 6)) + _fixture_networks()
+        moves = 0
+        for inst, net in cases:
+            got = list(_Search(inst, net, None, CostEngine(inst)).moves("ps"))
+            assert got == list(_naive_ps_moves(inst, net))
+            moves += len(got)
+        assert moves > 800
+
+    def test_check_builds_only_g_and_g_minus_u(self):
+        built = 0
+        for inst, net in _seeded_networks(79, 300, 5):
+            engine = CostEngine(inst)
+            _run_checker(inst, net, "ps", None, engine)
+            minus = {tuple(e for e in net.edges if u not in e) for u in range(inst.n)}
+            assert set(engine._states) <= minus | {net.edges}
+            built += len(engine._states) > 1
+        assert built > 200  # most checks price some move from G - u
 
 
 def _pinned_case(name):
@@ -601,9 +638,10 @@ def _witness(coalition, concept, removals=(), additions=()):
 
 
 class TestPinnedWork:
-    """Status, witness, moves evaluated and frontier of the bne and bse
+    """Status, witness, moves evaluated and frontier of the ps, bne and bse
     searches: one joint mover/partner search must evaluate exactly the
-    moves, in exactly the order, that the separate searches did."""
+    moves, in exactly the order, that the separate searches did, and ps
+    priced from rows exactly those it priced on a state per network."""
 
     @pytest.mark.parametrize(
         "name, concept, expected",
@@ -641,6 +679,20 @@ class TestPinnedWork:
                 "seeded_random_model",
                 "bse",
                 ("unstable", _witness((1,), "bse", removals=[(1, 2)]), 2, None),
+            ),
+            ("zero_cluster_5", "ps", ("stable", None, 11, None)),
+            # ps reads no change cap, so it stays conclusive here
+            ("empty_4_two_changes", "ps", ("stable", None, 6, None)),
+            ("metric_star_5", "ps", ("stable", None, 14, None)),
+            (
+                "seeded_zero_links",
+                "ps",
+                ("unstable", _witness((3, 4), "ps", additions=[(3, 4)]), 13, None),
+            ),
+            (
+                "seeded_random_model",
+                "ps",
+                ("unstable", _witness((0, 2), "ps", additions=[(0, 2)]), 3, None),
             ),
         ],
     )
