@@ -6,7 +6,8 @@ concept checker, a revisited network is reported as a cycle, and running
 out of steps (or of checker budget) is reported as such, never silently.
 
 Each step is one checker search (``stability._run_checker``), whatever
-the policy, and no move is priced twice.
+the policy, and no move is priced twice. A best-response search for bne
+or bse prices only the moves that could beat the best found so far.
 
 Cycle detection compares canonical sorted edge lists exactly; no lossy
 hashing, so collisions are impossible.

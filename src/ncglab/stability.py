@@ -40,10 +40,24 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
     enumerated earlier (coalitions are visited by increasing size, then
     lexicographically), so only moves touching every mover are evaluated;
     partners are touched by their additions, and a lone bne mover by
-    every non-empty move.
+    every non-empty move;
+  * the best-response bound: a bne or bse search that keeps only moves
+    beating the largest gain yielded so far (``_run_checker`` with
+    ``largest_gain``; ``best``, starting at 0) does not price a move
+    (A, R) whose gain bound is at most ``best``. Each member's distances
+    in G + A - R are no shorter than in G + A, and its edge savings are
+    p times the weight of the removed edges at it, so the coalition's
+    total gain is at most the members' summed per-set bounds without
+    their removal term plus p * sum_{e in R} W(e) * (movers at e). Such a
+    move cannot be the first move of the largest gain.
 
-Pruned moves never count against the move budget and cannot change which
-witness is found first, because only non-improving moves are pruned.
+The moves the other prunes skip never count against the move budget and
+cannot change which witness is found first, because only non-improving
+moves are pruned. A move the best-response bound skips does count, as a
+priced one would, so ``moves_evaluated``, the budget cut, the frontier and
+the first move of the largest gain are those of the search without it.
+First-found searches, bare ``_Search.moves`` iteration and ps leave
+``best`` None and yield every improving move.
 
 A search with one mover u, every ps agent, every bne agent and every bse
 singleton, is priced from distance rows (``_MoverPricing``), while larger
@@ -170,6 +184,8 @@ class Budget:
     A search ignores the caps it does not read: a ps witness may add an
     edge for two agents under ``max_coalition=0`` or ``max_changes=0``,
     and a bne witness may have partners beyond ``max_coalition``.
+    ``max_moves`` counts a move that the best-response bound skips
+    unpriced as it counts a priced one (see the module docstring).
     """
 
     max_coalition: int = None
@@ -314,6 +330,9 @@ class _Search:
         self.spend_cap = [None] * n
         self.evaluated = 0
         self.frontier = None  # set by the first budget cut
+        # the largest gain yielded so far when bne and bse yield only moves
+        # that beat it (``_run_checker`` with ``largest_gain``), else None
+        self.best = None
         self.mover_pricing = None  # of the last lone mover searched
 
     def _prepare(self, u):
@@ -346,6 +365,9 @@ class _Search:
             self.frontier = what
 
     def _count_eval(self):
+        """Count one move against ``max_moves``, or stop the search at the
+        cap. Every move that passes the per-set tests counts, whether it is
+        then priced or skipped by the best-response bound."""
         cap = self.budget.max_moves
         if cap is not None and self.evaluated >= cap:
             self._note_skip(f"move budget {cap} exhausted")
@@ -372,6 +394,22 @@ class _Search:
 
     def _bound_allows(self, bound):
         return bound is not None and bound > 0
+
+    def _set_bound(self, added_inc, plus_sum, bit):
+        """The members' summed ``_gain_bound`` under a fixed addition set,
+        or None if some member's own bound rules the set out."""
+        total = 0
+        for m, inc in added_inc.items():
+            bound = self._gain_bound(m, plus_sum(m), inc, self.rem_inc[m] if m in bit else 0)
+            if not self._bound_allows(bound):
+                return None
+            total += bound
+        return total
+
+    def _may_beat_best(self, bound):
+        """False if a move whose total gain is at most ``bound`` cannot
+        beat the best move found so far."""
+        return bound > self.best
 
     # -- pairwise stability -------------------------------------------------
 
@@ -485,7 +523,9 @@ class _Search:
         its affordability or the change cap skips its supersets above it.
         A lone mover's bounds and moves are priced by ``_MoverPricing``, a
         coalition's on an engine state of each network (see the module
-        docstring).
+        docstring). With ``best`` set, a counted move whose gain bound is
+        at most ``best`` is not priced, and only a move that beats ``best``
+        is yielded and raises it.
         """
         eng = self.engine
         cap = self.budget.max_changes
@@ -499,6 +539,12 @@ class _Search:
         one = self._mover_pricing(movers[0], addable) if len(movers) == 1 else None
         eset = self.eset
         rem_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in removable]
+        bounded = self.best is not None
+        # what the movers stop paying for each removed edge, once per mover
+        # at it; removing them all sheds every mover's incident weight, the
+        # removal term of their per-set bounds
+        shed = [eng.p * eng.W[a][b] * c.bit_count() for (a, b), c in zip(removable, rem_cov)]
+        shed_all = sum(shed)
         add_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in addable]
         a_mask, a_end = 0, 1 << len(addable)
         while a_mask < a_end:
@@ -530,49 +576,57 @@ class _Search:
                 plus_sum = partial(eng.dist_sum, canonical_edges(plus_set))
             else:
                 plus_sum = one.plus_sums(mask)
-            if not all(
-                self._bound_allows(
-                    self._gain_bound(
-                        m, plus_sum(m), inc, self.rem_inc[m] if m in bit else 0
-                    )
-                )
-                for m, inc in added_inc.items()
-            ):
+            set_bound = self._set_bound(added_inc, plus_sum, bit)
+            if set_bound is None:
                 continue
             for r_mask in range(1 << len(removable)):
                 cov = a_cov
                 rems = []
+                bound = set_bound - shed_all
                 for i in range(len(removable)):
                     if r_mask >> i & 1:
                         cov |= rem_cov[i]
                         rems.append(removable[i])
+                        bound += shed[i]
                 if cov != full_cov:
                     continue  # empty, or an untouched mover: searched earlier
                 if cap is not None and len(rems) + len(adds) > cap:
                     continue
                 self._count_eval()
+                if bounded and not self._may_beat_best(bound):
+                    continue
                 if one is not None:
                     gain = one.gain(added_inc, mask, r_mask)
-                    if gain is not None:
-                        yield Move.make(added_inc, rems, adds, concept=concept), gain
-                    continue
-                new_key = canonical_edges(plus_set - set(rems))
-                gain = 0
-                for m in added_inc:  # summed only past the strict test: never inf - inf
-                    cost = eng.member_cost(new_key, m)
-                    if cost >= self.base[m]:
-                        break
-                    gain += self.base[m] - cost
                 else:
-                    move = Move.make(added_inc, rems, adds, concept=concept)
-                    yield move, gain
+                    gain = self._state_gain(canonical_edges(plus_set - set(rems)), added_inc)
+                if gain is None:
+                    continue
+                if bounded:
+                    if gain <= self.best:
+                        continue
+                    self.best = gain
+                yield Move.make(added_inc, rems, adds, concept=concept), gain
+
+    def _state_gain(self, key, members):
+        """The members' total strict gain in ``key``'s network, priced on
+        its engine state, or None unless every member strictly gains.
+        Summed only past the strict test, so never ``inf - inf``."""
+        gain = 0
+        for m in members:
+            cost = self.engine.member_cost(key, m)
+            if cost >= self.base[m]:
+                return None
+            gain += self.base[m] - cost
+        return gain
 
     def moves(self, concept):
         """Improving moves in canonical order, each as ``(move, gain)``:
         ``gain`` is the coalition's total strict improvement in scaled
         units, the sum over members of base cost less new cost, from the
         costs the search compared (``inf`` for a member whose base cost
-        is). A cut budget ends the iteration early."""
+        is). A cut budget ends the iteration early. With ``best`` set (bne
+        and bse under ``largest_gain``), only the moves that beat every
+        earlier one."""
         gen = {PS: self.ps_moves, BNE: self.bne_moves, BSE: self.bse_moves}[concept]
         try:
             yield from gen()
@@ -725,11 +779,15 @@ def _run_checker(inst, net, concept, budget, engine, largest_gain=False):
     """The one search of every checker and of both dynamics policies.
 
     The witness is the first improving move, or with ``largest_gain`` the
-    first of those with the largest total gain, which runs the search to
-    its end. A move found is Unstable even if the budget cut the search
-    short; no move with a cut is Inconclusive; otherwise Stable.
+    first of those with the largest total gain, which walks the search to
+    its end; bne and bse then price only the moves whose gain bound beats
+    the best found so far (the module docstring's best-response bound).
+    A move found is Unstable even if the budget cut the search short; no
+    move with a cut is Inconclusive; otherwise Stable.
     """
     search = _Search(inst, net, budget, engine)
+    if largest_gain and concept != PS:
+        search.best = 0  # bne and bse yield only moves that beat every earlier one
     moves = search.moves(concept)
     if largest_gain:
         found = max(moves, key=lambda move_gain: move_gain[1], default=None)

@@ -293,8 +293,10 @@ def _naive_ps(inst, net):
     return None if found is None else found[0]
 
 
-def _naive_bne(inst, net):
-    """Unpruned neighborhood search: the first improving move in canonical order.
+def _naive_bne_moves(inst, net):
+    """Unpruned neighborhood search: every improving move in canonical
+    order, each with its gain priced on a fresh state of the network it
+    reaches.
 
     For each mover u in turn: addition sets to partners by increasing
     mask over u's sorted non-edges, then removal sets by increasing mask
@@ -319,11 +321,18 @@ def _naive_bne(inst, net):
                     continue
                 rems = [removable[i] for i in range(len(removable)) if rm >> i & 1]
                 key = canonical_edges((eset | set(adds)) - set(rems))
-                if all(eng.member_cost(key, m) < base[m] for m in (u, *partners)):
-                    return L.Move.make(
+                costs = {m: eng.member_cost(key, m) for m in (u, *partners)}
+                if all(cost < base[m] for m, cost in costs.items()):
+                    move = L.Move.make(
                         (u, *partners), removals=rems, additions=adds, concept="bne"
                     )
-    return None
+                    yield move, sum(base[m] - cost for m, cost in costs.items())
+
+
+def _naive_bne(inst, net):
+    """The first improving neighborhood move in canonical order, or None."""
+    found = next(_naive_bne_moves(inst, net), None)
+    return None if found is None else found[0]
 
 
 def _seeded_networks(seed, count, max_n):
@@ -397,7 +406,7 @@ class TestPruneCrossCheck:
 
     def test_gain_bounds_off_gives_same_verdicts(self, monkeypatch):
         _assert_same_verdicts_unpruned(
-            monkeypatch, "_bound_allows", lambda self, bound: True
+            monkeypatch, "_bound_allows", lambda self, bound: bound is not None
         )
 
 
@@ -765,6 +774,89 @@ class TestSearchGains:
             assert got == expected
             outcomes.add("move" if moves else expected)
         assert {"move", "inconclusive" if budgeted else None} <= outcomes
+
+    def test_bare_iteration_yields_every_improving_bne_move(self):
+        moves = 0
+        for inst, net in _seeded_networks(61, 60, 5):
+            got = list(_Search(inst, net, None, CostEngine(inst)).moves("bne"))
+            assert got == list(_naive_bne_moves(inst, net))
+            moves += len(got)
+        assert moves > 300
+
+
+def _best_response_cases():
+    """(instance, network, concept) for the best-response bound: the bne
+    and bse ``_gain_cases``, the ``_fixture_networks`` under bne and, at
+    n=5, under bse (at n=6 a bse search with every move priced takes
+    seconds on some of them), and a path start at n=8 under bne on a
+    euclidean and a uniform host."""
+    cases = [case for case in _gain_cases() if case[2] != "ps"]
+    for inst, net in _fixture_networks():
+        cases.append((inst, net, "bne"))
+        if inst.n == 5:
+            cases.append((inst, net, "bse"))
+    path = L.Network.from_pairs(8, [(i, i + 1) for i in range(7)])
+    for model in ("euclidean", "uniform"):
+        cases.append((L.random_instance(8, model, 0, F(2)), path, "bne"))
+    return cases
+
+
+def _best_response_answers(cases):
+    """Per case and per move budget (none, then 1, half and all but one
+    of the moves the unbudgeted search evaluates): the best-response
+    verdict's status, witness, moves evaluated and frontier, and the
+    move ``find_improving_move`` returns, or "inconclusive"."""
+    answers = []
+    for inst, net, concept in cases:
+        full = _run_checker(inst, net, concept, None, CostEngine(inst), True).moves_evaluated
+        caps = sorted({1, full // 2, full - 1} - {-1})
+        for budget in [None] + [L.Budget(max_moves=cap) for cap in caps]:
+            verdict = _run_checker(inst, net, concept, budget, CostEngine(inst), True)
+            try:
+                found = L.find_improving_move(inst, net, concept, "best-response", budget)
+            except InconclusiveSearch:
+                found = "inconclusive"
+            answers.append(
+                (verdict.status, verdict.witness, verdict.moves_evaluated, verdict.frontier, found)
+            )
+    return answers
+
+
+class TestBestResponseBound:
+    """A best-response bne or bse search skips pricing the moves whose gain
+    bound cannot beat the best move found so far; every skipped move still
+    counts, so nothing a caller sees changes."""
+
+    def test_bound_off_gives_same_answers(self, monkeypatch):
+        cases = _best_response_cases()
+        may_beat = _Search._may_beat_best
+        skipped = []
+
+        def recording(self, bound):
+            skipped.append(not may_beat(self, bound))
+            return not skipped[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Search, "_may_beat_best", recording)
+            bounded = _best_response_answers(cases)
+        assert sum(skipped) > len(skipped) // 2  # most moves are never priced
+        monkeypatch.setattr(_Search, "_may_beat_best", lambda self, bound: True)
+        assert _best_response_answers(cases) == bounded
+        statuses = {answer[0] for answer in bounded}
+        assert statuses == {"stable", "unstable", "inconclusive"}
+
+    def test_first_found_and_bare_searches_carry_no_bound(self, monkeypatch):
+        def refuse(self, bound):
+            raise AssertionError("a search that keeps every move ran the bound")
+
+        monkeypatch.setattr(_Search, "_may_beat_best", refuse)
+        for inst, net, concept in _best_response_cases():
+            L.check(inst, net, concept)
+            L.find_improving_move(inst, net, concept, "first-found")
+            if concept == "bne" or inst.n <= 4:
+                search = _Search(inst, net, None, CostEngine(inst))
+                assert all(gain > 0 for _, gain in search.moves(concept))
+                assert search.best is None
 
 
 class TestBudgets:
