@@ -293,17 +293,14 @@ class CostEngine:
             out.append(rx)
         return out
 
-    def social_after_add(self, key: tuple, u: int, v: int, spend=None):
+    def social_after_add(self, key: tuple, u: int, v: int, spend):
         """Social cost of the network plus edge {u,v}, by ``rows_after_add``
         from the network's rows; each unchanged row keeps its cached sum.
-        ``spend`` is the network's total edge weight, summed here when the
-        caller has not summed it once for many calls."""
+        ``spend`` is the network's total edge weight."""
         rows, sums = self._filled(self.state(key))
         dist_part = 0
         for rx, old, s in zip(self.rows_after_add(rows, u, v), rows, sums):
             dist_part += s if rx is old else sum(rx)
-        if spend is None:
-            spend = sum(self.W[a][b] for a, b in key)
         return 2 * self.p * (spend + self.W[u][v]) + self.q * dist_part
 
     def rows_after_remove(self, rows, adj, u, v):

@@ -141,17 +141,13 @@ def _minimum_spanning_tree(inst):
     return canonical_edges(chosen)
 
 
-def _best_star(inst, engine):
-    n = inst.n
-    best = None
-    for center in range(n):
-        key = canonical_edges(
-            (min(center, v), max(center, v)) for v in range(n) if v != center
-        )
-        cost = engine.social_cost(key)
-        if best is None or cost < best[0]:
-            best = (cost, key)
-    return best[1]
+def _best_star(engine):
+    """The cheapest star. Every star costs (2n - 2 + 2 alpha) * w(E)
+    (``model.star_social_cost``), so it is the lightest one, centred at
+    the first node of least total link weight."""
+    n, W = engine.n, engine.W
+    center = min(range(n), key=lambda c: sum(W[c]))
+    return canonical_edges((min(center, v), max(center, v)) for v in range(n) if v != center)
 
 
 def _local_search(engine, start_key):
@@ -230,7 +226,7 @@ def heuristic_opt(inst: Instance, seed: int = 0):
     """
     engine = CostEngine(inst)
     rng = random.Random(parse_int(seed, "seed"))
-    starts = [_minimum_spanning_tree(inst), _best_star(inst, engine)]
+    starts = [_minimum_spanning_tree(inst), _best_star(engine)]
     starts += [_random_spanning_tree(inst.n, rng) for _ in range(HEURISTIC_RESTARTS)]
     best_cost, best_key = None, None
     for start in starts:

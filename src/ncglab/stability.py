@@ -21,12 +21,15 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
     currently incident edges for a mover and are zero for a partner (see
     below); a member whose optimistic gain is still non-positive rules out
     every removal subset under this A;
-  * coalition bounds: every move of the movers gives a subgraph of G plus
-    all their addable edges, and a member pays at least 0 for additions,
-    so a mover whose per-set bound is non-positive there, with no
-    addition paid, rules out every addition set at once; each set it
-    skips would have failed its own bound, its affordability or the
-    change cap, none of which counts a move;
+  * coalition bounds, for coalitions of two or more movers: every move
+    of the movers gives a subgraph of G plus all their addable edges, and
+    a member pays at least 0 for additions, so a mover whose per-set
+    bound is non-positive there, with no addition paid, rules out every
+    addition set at once; each set it skips would have failed its own
+    bound, its affordability or the change cap, none of which counts a
+    move. A lone mover has no coalition bound: its per-set bounds rule
+    out the same sets, and pricing G plus all of its addable edges paid
+    off only on zero-weight clusters;
   * unaffordable addition sets: a set some member cannot afford, or one
     over the change cap, stays so in every superset, and all masks from
     M up to M + lowbit(M) are supersets of M, so the search steps past
@@ -78,11 +81,11 @@ identities follow, with P the partners and A the added edges:
       and ``d(v,.) = min(d_{G-u}(v,.), d(v,u) + d(u,.))``, since the
       network away from u is G - u.
 
-The addition bounds, and the coalition bound of a lone mover, read (a)
-from G's rows; each move reads (b) from the rows of G - u. G - u is an
-ordinary engine state keyed by G's edges that avoid u, so the checks of
-one engine, such as the ps, bne and bse checks of one enumeration
-candidate, share its rows and count its Dijkstra runs.
+The addition bounds read (a) from G's rows; each move reads (b) from
+the rows of G - u. G - u is an ordinary engine state keyed by G's edges
+that avoid u, so the checks of one engine, such as the ps, bne and bse
+checks of one enumeration candidate, share its rows and count its
+Dijkstra runs.
 
 One more sound prune discards whole networks before any search: the ps
 prefilter (``ps_prefilter``) that candidate enumeration runs along its
@@ -333,7 +336,6 @@ class _Search:
         # the largest gain yielded so far when bne and bse yield only moves
         # that beat it (``_run_checker`` with ``largest_gain``), else None
         self.best = None
-        self.mover_pricing = None  # of the last lone mover searched
 
     def _prepare(self, u):
         """Fill agent u's incident weight, base cost, distance sum and spend cap."""
@@ -475,13 +477,6 @@ class _Search:
                 ]
                 yield from self._joint_moves(gamma, addable, BSE, f"coalition {gamma}")
 
-    def _mover_pricing(self, u, addable):
-        """The ``_MoverPricing`` of lone mover u, kept for the mover searched
-        last so that its coalition bound and its masks share one."""
-        if self.mover_pricing is None or self.mover_pricing.u != u:
-            self.mover_pricing = _MoverPricing(self, u, addable)
-        return self.mover_pricing
-
     def _coalition_hopeless(self, movers, addable):
         """True if some mover has no positive gain bound in G + ``addable``.
 
@@ -489,10 +484,7 @@ class _Search:
         a member pays at least 0 for its additions, so this bound is at
         least each addition set's bound for that mover.
         """
-        if len(movers) == 1:
-            plus_sum = self._mover_pricing(movers[0], addable).plus_sums((1 << len(addable)) - 1)
-        else:
-            plus_sum = partial(self.engine.dist_sum, canonical_edges(self.eset.union(addable)))
+        plus_sum = partial(self.engine.dist_sum, canonical_edges(self.eset.union(addable)))
         return any(
             not self._bound_allows(self._gain_bound(m, plus_sum(m), 0, self.rem_inc[m]))
             for m in movers
@@ -518,10 +510,11 @@ class _Search:
         Two prunes skip addition sets without changing which moves are
         counted (see the module docstring): the coalition bound returns
         before any mask when some mover cannot gain even in G + ``addable``
-        (only tried with two or more addable pairs: with one, that pair's
-        per-set bound already prices G + ``addable``), and a mask refused for
-        its affordability or the change cap skips its supersets above it.
-        A lone mover's bounds and moves are priced by ``_MoverPricing``, a
+        (only tried for two or more movers with two or more addable pairs:
+        with one pair, that pair's per-set bound already prices
+        G + ``addable``), and a mask refused for its affordability or the
+        change cap skips its supersets above it. A lone mover's bounds and
+        moves are priced by the ``_MoverPricing`` built here for it, a
         coalition's on an engine state of each network (see the module
         docstring). With ``best`` set, a counted move whose gain bound is
         at most ``best`` is not priced, and only a move that beats ``best``
@@ -534,9 +527,9 @@ class _Search:
         removable = sorted(e for e in self.gkey if e[0] in bit or e[1] in bit)
         if cap is not None and len(removable) + len(addable) > cap:
             self._note_skip(f"{who}: moves beyond {cap} changes")
-        if len(addable) >= 2 and self._coalition_hopeless(movers, addable):
+        if len(movers) > 1 and len(addable) >= 2 and self._coalition_hopeless(movers, addable):
             return
-        one = self._mover_pricing(movers[0], addable) if len(movers) == 1 else None
+        one = _MoverPricing(self, movers[0], addable) if len(movers) == 1 else None
         eset = self.eset
         rem_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in removable]
         bounded = self.best is not None

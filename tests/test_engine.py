@@ -50,7 +50,8 @@ class TestAddKernels:
                     if (u, v) in key:
                         continue
                     bigger = canonical_edges(key + ((u, v),))
-                    assert engine.social_after_add(key, u, v) == engine.social_cost(bigger)
+                    spend = sum(engine.W[a][b] for a, b in key)
+                    assert engine.social_after_add(key, u, v, spend) == engine.social_cost(bigger)
                     assert engine.row_after_add(key, u, v) == engine.row(bigger, u)
                     assert engine.row_after_add(key, v, u) == engine.row(bigger, v)
                     checked += 1

@@ -5,7 +5,7 @@ import pytest
 
 import ncglab as L
 from ncglab.errors import BoundViolation, InstanceTooLarge, NotProvenOptimal
-from ncglab.engine import CostEngine
+from ncglab.engine import CostEngine, canonical_edges
 from ncglab.optimum import (
     HEURISTIC_RESTARTS,
     OptResult,
@@ -259,6 +259,31 @@ class TestHeuristic:
                 matches += 1
         assert matches >= 0.9 * trials
 
+    def test_best_star_is_the_first_cheapest_priced_star(self):
+        # every other host draws weights from {0, 1, 2}, so that stars tie
+        # and zero-weight links occur
+        rng = random.Random(29)
+        ties = 0
+        for i in range(120):
+            n = rng.randint(2, 8)
+            alpha = F(rng.randint(1, 8), rng.choice([1, 2]))
+            if i % 2:
+                w = [[F(0)] * n for _ in range(n)]
+                for u, v in all_pairs(n):
+                    w[u][v] = w[v][u] = F(rng.choice([0, 1, 2]))
+                inst = L.Instance(host=L.validate_host(w), alpha=alpha)
+            else:
+                inst = L.random_instance(n, rng.choice(MODELS), rng.randrange(10**6), alpha)
+            engine = CostEngine(inst)
+            stars = [
+                canonical_edges((min(c, v), max(c, v)) for v in range(n) if v != c)
+                for c in range(n)
+            ]
+            costs = [engine.social_cost(key) for key in stars]
+            assert _best_star(engine) == stars[costs.index(min(costs))]
+            ties += costs.count(min(costs)) > 1
+        assert ties > 20
+
     def test_pinned_n10_results(self):
         # the bench's n=10 base instances, beyond any brute-force oracle;
         # pinned so that a change to the search's pruning shows
@@ -346,7 +371,7 @@ class TestLocalSearch:
         for inst in instances:
             engine = CostEngine(inst)
             rng = random.Random(0)
-            starts = [_minimum_spanning_tree(inst), _best_star(inst, engine)]
+            starts = [_minimum_spanning_tree(inst), _best_star(engine)]
             starts += [_random_spanning_tree(inst.n, rng) for _ in range(HEURISTIC_RESTARTS)]
             reference = CostEngine(inst)
             for start in starts:

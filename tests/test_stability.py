@@ -20,7 +20,7 @@ from ncglab.errors import (
     RemovalNotPresent,
 )
 from ncglab.scalars import INF, is_inf
-from ncglab.stability import _run_checker, _Search
+from ncglab.stability import _MoverPricing, _run_checker, _Search
 
 
 def host(rows):
@@ -564,7 +564,7 @@ class TestMoverPricing:
                 addable = [(min(u, v), max(u, v)) for v in range(n) if v != u]
                 addable = [e for e in addable if e not in eset]
                 removable = [e for e in net.edges if u in e]
-                pricing = search._mover_pricing(u, addable)
+                pricing = _MoverPricing(search, u, addable)
                 for a_mask in range(1 << len(addable)):
                     adds = [e for i, e in enumerate(addable) if a_mask >> i & 1]
                     added_inc = {u: 0}
@@ -599,6 +599,25 @@ class TestMoverPricing:
         assert checked > 6_000
         assert improving > 1_500
         assert infinite > 2_000
+
+
+class TestCoalitionBoundMovers:
+    """Only a coalition of two or more movers tries the coalition bound; a
+    lone mover, every bne agent, is left to its per-set bounds."""
+
+    def test_every_call_has_two_or_more_movers(self, monkeypatch):
+        hopeless = _Search._coalition_hopeless
+        sizes = []
+
+        def recording(self, movers, addable):
+            sizes.append(len(movers))
+            return hopeless(self, movers, addable)
+
+        monkeypatch.setattr(_Search, "_coalition_hopeless", recording)
+        for inst, net in list(_seeded_networks(83, 60, 5)) + _fixture_networks():
+            for concept in ("bne", "bse"):
+                L.check(inst, net, concept)
+        assert len(sizes) > 100 and min(sizes) >= 2
 
 
 class TestPsPricing:
