@@ -7,7 +7,9 @@ out of steps (or of checker budget) is reported as such, never silently.
 
 Each step is one checker search (``stability._run_checker``), whatever
 the policy, and no move is priced twice. A best-response search for bne
-or bse prices only the moves that could beat the best found so far.
+or bse prices only the moves that could beat the best found so far, and
+counts each addition set that holds none of them in bulk, without
+walking its removal sets.
 
 Cycle detection compares canonical sorted edge lists exactly; no lossy
 hashing, so collisions are impossible.

@@ -28,8 +28,16 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
     addition set at once; each set it skips would have failed its own
     bound, its affordability or the change cap, none of which counts a
     move. A lone mover has no coalition bound: its per-set bounds rule
-    out the same sets, and pricing G plus all of its addable edges paid
-    off only on zero-weight clusters;
+    out the same sets, and its partners' bounds below do the rest;
+  * partner bounds, for a lone mover u: a partner v adds exactly one
+    edge, uv, and pays W(u,v) for it, and its distances in G + A only
+    shrink as A grows, so its per-set bound never falls as A grows. So
+    a partner whose bound hi_v in G plus every addable edge of u is not
+    positive fails the per-set test of every set holding it, and its
+    pair leaves u's addable list (after the change cap is noted over
+    the whole list), which keeps the order of the other sets; and a
+    partner whose bound lo_v with uv alone is positive passes the test
+    of every set holding it;
   * unaffordable addition sets: a set some member cannot afford, or one
     over the change cap, stays so in every superset, and all masks from
     M up to M + lowbit(M) are supersets of M, so the search steps past
@@ -52,15 +60,26 @@ moves proven non-improving, so a Stable verdict certifies exhaustion:
     p times the weight of the removed edges at it, so the coalition's
     total gain is at most the members' summed per-set bounds without
     their removal term plus p * sum_{e in R} W(e) * (movers at e). Such a
-    move cannot be the first move of the largest gain.
+    move cannot be the first move of the largest gain;
+  * bulk counts: with ``best`` set, an addition set whose summed per-set
+    bound is at most ``best`` holds no move to price, so its moves are
+    counted at once, without walking its removal sets. Their number
+    depends only on the movers its additions touch and, under a change
+    cap, on how many additions it has. For a lone mover whose partners
+    in the set all have a positive lo_v, u's exact bound plus their hi_v
+    caps the set bound, so such a set passes its per-set test, and may
+    be counted, with no partner's distances summed.
 
 The moves the other prunes skip never count against the move budget and
 cannot change which witness is found first, because only non-improving
-moves are pruned. A move the best-response bound skips does count, as a
-priced one would, so ``moves_evaluated``, the budget cut, the frontier and
-the first move of the largest gain are those of the search without it.
-First-found searches, bare ``_Search.moves`` iteration and ps leave
-``best`` None and yield every improving move.
+moves are pruned. A move the best-response bound skips, or counts in
+bulk, does count, as a priced one would: a bulk count that reaches
+``max_moves`` stops the search exactly where counting one by one would.
+So ``moves_evaluated``, the budget cut, the frontier and the first move of
+the largest gain are those of the search without them. First-found
+searches, bare ``_Search.moves`` iteration and ps leave ``best`` None and
+yield every improving move; they count nothing in bulk, and their bne
+agents still drop dead partners.
 
 A search with one mover u, every ps agent, every bne agent and every bse
 singleton, is priced from distance rows (``_MoverPricing``), while larger
@@ -188,7 +207,9 @@ class Budget:
     edge for two agents under ``max_coalition=0`` or ``max_changes=0``,
     and a bne witness may have partners beyond ``max_coalition``.
     ``max_moves`` counts a move that the best-response bound skips
-    unpriced as it counts a priced one (see the module docstring).
+    unpriced, or counts in bulk with its addition set, as it counts a
+    priced one, and cuts a bulk count where counting one by one would
+    (see the module docstring).
     """
 
     max_coalition: int = None
@@ -366,15 +387,17 @@ class _Search:
         if self.frontier is None:
             self.frontier = what
 
-    def _count_eval(self):
-        """Count one move against ``max_moves``, or stop the search at the
-        cap. Every move that passes the per-set tests counts, whether it is
-        then priced or skipped by the best-response bound."""
+    def _count_eval(self, moves=1):
+        """Count ``moves`` moves against ``max_moves``, or stop the search
+        where counting them one by one would reach the cap. Every move that
+        passes the per-set tests counts, whether it is then priced, skipped
+        by the best-response bound or counted with its whole addition set."""
         cap = self.budget.max_moves
-        if cap is not None and self.evaluated >= cap:
+        if cap is not None and self.evaluated + moves > cap:
+            self.evaluated = cap
             self._note_skip(f"move budget {cap} exhausted")
             raise _BudgetStop()
-        self.evaluated += 1
+        self.evaluated += moves
 
     def _gain_bound(self, m, d_plus, added_inc, removable_inc):
         """Optimistic gain of member m for any removal set under fixed A.
@@ -397,6 +420,16 @@ class _Search:
     def _bound_allows(self, bound):
         return bound is not None and bound > 0
 
+    def _partner_alive(self, hi):
+        """False if a partner whose bound in G plus every addable edge is
+        ``hi`` fails the per-set test of every addition set holding it."""
+        return self._bound_allows(hi)
+
+    def _partner_sure(self, lo):
+        """True if a partner whose bound with its own edge alone is ``lo``
+        passes the per-set test of every addition set holding it."""
+        return self._bound_allows(lo)
+
     def _set_bound(self, added_inc, plus_sum, bit):
         """The members' summed ``_gain_bound`` under a fixed addition set,
         or None if some member's own bound rules the set out."""
@@ -412,6 +445,11 @@ class _Search:
         """False if a move whose total gain is at most ``bound`` cannot
         beat the best move found so far."""
         return bound > self.best
+
+    def _counts_in_bulk(self, bound):
+        """True if an addition set whose moves gain at most ``bound`` is
+        counted in bulk: none of its moves can beat the best so far."""
+        return not self._may_beat_best(bound)
 
     # -- pairwise stability -------------------------------------------------
 
@@ -490,6 +528,31 @@ class _Search:
             for m in movers
         )
 
+    def _live_additions(self, u, addable):
+        """For lone mover u: a ``_MoverPricing`` over the pairs of
+        ``addable`` whose partner passes the per-set test of some addition
+        set, those pairs, each one's partner bound hi (in G plus every pair
+        of ``addable``), and the mask of the pairs whose partner bound lo
+        (with its own edge alone) is not positive. Only a best-response
+        search reads lo; any other gets mask 0. See the module docstring's
+        partner bounds."""
+        one = _MoverPricing(self, u, addable)
+        W = self.engine.W
+        in_all = one.plus_sums((1 << len(addable)) - 1)
+        hi = [self._gain_bound(v, in_all(v), W[u][v], 0) for v in one.partner_of]
+        live = [i for i, bound in enumerate(hi) if self._partner_alive(bound)]
+        if len(live) < len(addable):
+            addable = [addable[i] for i in live]
+            hi = [hi[i] for i in live]
+            one = _MoverPricing(self, u, addable)
+        weak = 0
+        if self.best is not None:
+            for i, v in enumerate(one.partner_of):
+                lo = self._gain_bound(v, one.plus_sums(1 << i)(v), W[u][v], 0)
+                if not self._partner_sure(lo):
+                    weak |= 1 << i
+        return one, addable, hi, weak
+
     @staticmethod
     def _past_supersets(mask):
         """The next addition mask after every superset of ``mask`` that
@@ -507,38 +570,74 @@ class _Search:
         ``addable``, then removal sets by increasing mask over the movers'
         sorted incident edges; only moves touching every mover count.
 
-        Two prunes skip addition sets without changing which moves are
+        Three prunes skip addition sets without changing which moves are
         counted (see the module docstring): the coalition bound returns
         before any mask when some mover cannot gain even in G + ``addable``
         (only tried for two or more movers with two or more addable pairs:
         with one pair, that pair's per-set bound already prices
-        G + ``addable``), and a mask refused for its affordability or the
-        change cap skips its supersets above it. A lone mover's bounds and
-        moves are priced by the ``_MoverPricing`` built here for it, a
-        coalition's on an engine state of each network (see the module
-        docstring). With ``best`` set, a counted move whose gain bound is
-        at most ``best`` is not priced, and only a move that beats ``best``
-        is yielded and raises it.
+        G + ``addable``); a lone mover drops, after the change cap is
+        noted, each pair whose partner's bound in G + ``addable`` is not
+        positive; and a mask refused for its affordability or the change
+        cap skips its supersets above it. A lone mover's bounds and moves
+        are priced by the ``_MoverPricing`` built for it, a coalition's on
+        an engine state of each network (see the module docstring).
+
+        With ``best`` set, a counted move whose gain bound is at most
+        ``best`` is not priced, and only a move that beats ``best`` is
+        yielded and raises it. A set whose bound is at most ``best`` is
+        counted in bulk, by ``count_in_bulk``; a lone mover's set whose
+        partners are all sure to pass needs only u's exact bound and the
+        partners' hi for that, and no partner sum.
         """
         eng = self.engine
         cap = self.budget.max_changes
         bit = {m: 1 << i for i, m in enumerate(movers)}
         full_cov = (1 << len(movers)) - 1
-        removable = sorted(e for e in self.gkey if e[0] in bit or e[1] in bit)
+        removable = [e for e in self.gkey if e[0] in bit or e[1] in bit]
         if cap is not None and len(removable) + len(addable) > cap:
             self._note_skip(f"{who}: moves beyond {cap} changes")
-        if len(movers) > 1 and len(addable) >= 2 and self._coalition_hopeless(movers, addable):
+        bounded = self.best is not None
+        one = None
+        if len(movers) == 1:
+            u = movers[0]
+            one, addable, hi, weak = self._live_additions(u, addable)
+        elif len(addable) >= 2 and self._coalition_hopeless(movers, addable):
             return
-        one = _MoverPricing(self, movers[0], addable) if len(movers) == 1 else None
         eset = self.eset
         rem_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in removable]
-        bounded = self.best is not None
         # what the movers stop paying for each removed edge, once per mover
         # at it; removing them all sheds every mover's incident weight, the
         # removal term of their per-set bounds
         shed = [eng.p * eng.W[a][b] * c.bit_count() for (a, b), c in zip(removable, rem_cov)]
         shed_all = sum(shed)
         add_cov = [bit.get(a, 0) | bit.get(b, 0) for a, b in addable]
+
+        def removal_sets(a_cov, n_adds):
+            """(r_mask, removals, weight shed) of each removal set counted
+            with an addition set of ``n_adds`` edges covering ``a_cov``."""
+            for r_mask in range(1 << len(removable)):
+                cov = a_cov
+                rems = []
+                shed_r = 0
+                for i in range(len(removable)):
+                    if r_mask >> i & 1:
+                        cov |= rem_cov[i]
+                        rems.append(removable[i])
+                        shed_r += shed[i]
+                if cov != full_cov:
+                    continue  # empty, or an untouched mover: searched earlier
+                if cap is not None and len(rems) + n_adds > cap:
+                    continue
+                yield r_mask, rems, shed_r
+
+        per_set = {}  # (a_cov, additions if capped) -> moves counted per set
+
+        def count_in_bulk(a_cov, n_adds):
+            key = (a_cov, n_adds if cap is not None else 0)
+            if key not in per_set:
+                per_set[key] = sum(1 for _ in removal_sets(a_cov, n_adds))
+            self._count_eval(per_set[key])
+
         a_mask, a_end = 0, 1 << len(addable)
         while a_mask < a_end:
             mask = a_mask
@@ -569,24 +668,26 @@ class _Search:
                 plus_sum = partial(eng.dist_sum, canonical_edges(plus_set))
             else:
                 plus_sum = one.plus_sums(mask)
+                if bounded and not mask & weak:
+                    # every partner here passes; u's bound, exact, decides,
+                    # and the partners' hi cap their share of the set bound
+                    u_bound = self._gain_bound(u, plus_sum(u), added_inc[u], self.rem_inc[u])
+                    if not self._bound_allows(u_bound):
+                        continue
+                    if self._counts_in_bulk(
+                        u_bound + sum(h for i, h in enumerate(hi) if mask >> i & 1)
+                    ):
+                        count_in_bulk(a_cov, len(adds))
+                        continue
             set_bound = self._set_bound(added_inc, plus_sum, bit)
             if set_bound is None:
                 continue
-            for r_mask in range(1 << len(removable)):
-                cov = a_cov
-                rems = []
-                bound = set_bound - shed_all
-                for i in range(len(removable)):
-                    if r_mask >> i & 1:
-                        cov |= rem_cov[i]
-                        rems.append(removable[i])
-                        bound += shed[i]
-                if cov != full_cov:
-                    continue  # empty, or an untouched mover: searched earlier
-                if cap is not None and len(rems) + len(adds) > cap:
-                    continue
+            if bounded and self._counts_in_bulk(set_bound):
+                count_in_bulk(a_cov, len(adds))
+                continue
+            for r_mask, rems, shed_r in removal_sets(a_cov, len(adds)):
                 self._count_eval()
-                if bounded and not self._may_beat_best(bound):
+                if bounded and not self._may_beat_best(set_bound - shed_all + shed_r):
                     continue
                 if one is not None:
                     gain = one.gain(added_inc, mask, r_mask)

@@ -878,6 +878,110 @@ class TestBestResponseBound:
                 assert search.best is None
 
 
+def _lone_mover_prune_cases():
+    """(instance, network, concept, budget, largest_gain): seeded n<=6
+    networks, the ``_fixture_networks``, the zero_cluster stable networks
+    at n=7-8 and networks on an all-zero host under bne, and seeded n<=4
+    networks under bse; each first-found and best-response, unbudgeted,
+    under ``max_moves`` (1, half and all but one of the moves the
+    unbudgeted search evaluates) and under ``max_changes`` 1 to 3."""
+    nets = [(inst, net, "bne") for inst, net in _seeded_networks(89, 70, 6)]
+    nets += [(inst, net, "bne") for inst, net in _fixture_networks()]
+    for n in (7, 8):
+        fx = L.gen_general_bse(n, F(2))
+        nets.append((fx.instance, fx.stable_net, "bne"))
+    zero = L.Instance(host=host([[0] * 5 for _ in range(5)]), alpha=F(1))
+    for pairs in ([], [(0, 1), (1, 2)], [(0, 1), (0, 2), (0, 3), (0, 4)]):
+        nets.append((zero, L.Network.from_pairs(5, pairs), "bne"))
+    nets += [(inst, net, "bse") for inst, net in _seeded_networks(97, 40, 4)]
+    cases = []
+    for inst, net, concept in nets:
+        for largest in (False, True):
+            full = _run_checker(inst, net, concept, None, CostEngine(inst), largest)
+            caps = sorted({1, full.moves_evaluated // 2, full.moves_evaluated - 1} - {-1})
+            budgets = [None] + [L.Budget(max_moves=cap) for cap in caps]
+            budgets += [L.Budget(max_changes=cap) for cap in (1, 2, 3)]
+            cases += [(inst, net, concept, budget, largest) for budget in budgets]
+    return cases
+
+
+def _answers(cases):
+    """Status, witness, moves evaluated and frontier of each case."""
+    answers = []
+    for inst, net, concept, budget, largest in cases:
+        verdict = _run_checker(inst, net, concept, budget, CostEngine(inst), largest)
+        answers.append(
+            (verdict.status, verdict.witness, verdict.moves_evaluated, verdict.frontier)
+        )
+    return answers
+
+
+class TestLoneMoverPrunes:
+    """A lone mover drops the partners that fail every addition set, and a
+    best-response search counts in bulk the addition sets whose moves
+    cannot beat the best so far, with no partner sum when every partner
+    is sure to pass. Each part turned off leaves every status, witness,
+    moves evaluated and frontier as it was."""
+
+    @pytest.mark.parametrize(
+        "name, off, fired",
+        [
+            ("_partner_alive", lambda self, hi: True, False),
+            ("_counts_in_bulk", lambda self, bound: False, True),
+            ("_partner_sure", lambda self, lo: False, True),
+        ],
+        ids=["dead_partners", "bulk_count", "partner_free_sets"],
+    )
+    def test_part_off_gives_same_answers(self, monkeypatch, name, off, fired):
+        cases = _lone_mover_prune_cases()
+        part = getattr(_Search, name)
+        seen = []
+
+        def recording(self, bound):
+            seen.append(part(self, bound))
+            return seen[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Search, name, recording)
+            pruned = _answers(cases)
+        assert fired in seen  # the part ran and changed what the search does
+        monkeypatch.setattr(_Search, name, off)
+        assert _answers(cases) == pruned
+        assert {answer[0] for answer in pruned} == {"stable", "unstable", "inconclusive"}
+        assert len({answer[3] for answer in pruned}) > 5  # frontiers of each cap kind
+
+    def test_change_cap_note_counts_dead_partners(self):
+        # agent 0 may remove 01 and add 02, two changes; partner 2 gains
+        # nothing from 02, so the pair is dropped, but the cap is noted
+        # before that, at agent 0, and not first at agent 1
+        inst = L.Instance(host=host([[0, 5, 10], [5, 0, 15], [10, 15, 0]]), alpha=F(1))
+        net = L.Network.from_pairs(3, [(0, 1), (1, 2)])
+        search = _Search(inst, net, None, CostEngine(inst))
+        search._prepare_all()
+        assert search._live_additions(0, [(0, 2)])[1] == []
+        cap = L.Budget(max_changes=1)
+        for largest in (False, True):
+            verdict = _run_checker(inst, net, "bne", cap, CostEngine(inst), largest)
+            got = (verdict.status, verdict.moves_evaluated, verdict.frontier)
+            assert got == ("inconclusive", 4, "agent 0: moves beyond 1 changes")
+
+    def test_zero_cluster_12_bne_prices_one_set_per_agent(self, monkeypatch):
+        # every agent's partners are dead, so only its empty addition set
+        # is priced; with dead partners kept the search prices 5,122 sets
+        fx = L.gen_general_bse(12, F(2))
+        set_bound = _Search._set_bound
+        calls = []
+
+        def counting(self, *args):
+            calls.append(args)
+            return set_bound(self, *args)
+
+        monkeypatch.setattr(_Search, "_set_bound", counting)
+        verdict = L.is_bne(fx.instance, fx.stable_net)
+        assert (verdict.status, verdict.moves_evaluated) == ("stable", 2048)
+        assert len(calls) <= 12
+
+
 class TestBudgets:
     @pytest.mark.parametrize(
         "entry",
